@@ -606,13 +606,19 @@ fn main() {
 
     // --- Failover recovery: kill a branch, time the next query. ----------
     let victim = a_branch(cluster.network());
-    let full = QueryBuilder::new(&cschema, QueryId(9_999))
-        .range("x0", 0.0, 1.0)
-        .build();
+    // Every issued query gets its own id, so incidents and tail samples
+    // link distinct executions.
+    let mut next_id = 10_000u64;
+    let mut full = || {
+        next_id += 1;
+        QueryBuilder::new(&cschema, QueryId(next_id))
+            .range("x0", 0.0, 1.0)
+            .build()
+    };
     let samples: Vec<f64> = (0..m.failover_repeats)
         .map(|_| {
             assert!(cluster.kill_server(victim));
-            let out = cluster.query(&full, root);
+            let out = cluster.query(&full(), root);
             assert!(
                 out.failed_servers.contains(&victim),
                 "post-kill query must see the dead server"
@@ -620,7 +626,7 @@ fn main() {
             assert!(cluster.restart_server(victim));
             // One healthy query so the restarted server rejoins cleanly
             // before the next repeat.
-            let healed = cluster.query(&full, root);
+            let healed = cluster.query(&full(), root);
             assert!(healed.complete, "restart must restore full coverage");
             out.response_ms
         })
@@ -634,11 +640,11 @@ fn main() {
     // probe fed while the episode is live.
     assert!(cluster.slow_server(victim, 8.0));
     for _ in 0..3 {
-        let _ = cluster.query(&full, root);
+        let _ = cluster.query(&full(), root);
         watchdog.tick_now();
     }
     assert!(cluster.restore_server(victim));
-    let healed = cluster.query(&full, root);
+    let healed = cluster.query(&full(), root);
     assert!(healed.complete, "restore must bring the branch back");
 
     let audit_report = auditor.stop();

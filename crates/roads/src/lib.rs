@@ -12,10 +12,13 @@
 //! * [`engine`] — a converged ROADS network: per-server record stores,
 //!   bottom-up branch-summary aggregation, conservative query evaluation
 //!   returning redirect targets.
-//! * [`queryexec`] — client-driven query execution over a
-//!   [`roads_netsim::DelaySpace`]: redirection rounds, parallel branch
-//!   descent, latency and byte accounting exactly as the paper measures
-//!   them.
+//! * [`machine`] — the query protocol as one sans-IO state machine:
+//!   per-contact routing, mode-aware dedup, retry and overlay failover,
+//!   completeness and explain assembly, driven by both the simulator and
+//!   the threaded runtime.
+//! * [`queryexec`] — the simulation driver of that machine over a
+//!   [`roads_netsim::DelaySpace`]: parallel branch descent, latency and
+//!   byte accounting exactly as the paper measures them.
 //! * [`batch`] — a worker pool evaluating whole query batches over one
 //!   `Arc`-shared converged network (throughput experiments, fig. 14).
 //! * [`updates`] — per-round update-overhead accounting (summary export,
@@ -43,6 +46,7 @@ pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod load;
+pub mod machine;
 pub mod maintenance;
 pub mod metrics;
 pub mod overlay;
@@ -62,6 +66,9 @@ pub use cache::{execute_query_cached, query_fingerprint, CachedResult, ResultCac
 pub use config::RoadsConfig;
 pub use engine::{BuildOptions, EvalResult, RoadsNetwork};
 pub use load::{choose_entry, EntryPolicy, LoadTracker};
+pub use machine::{
+    route, Attempt, ContactMode, Dispatch, QueryMachine, RetryPolicy, Route, ServerReply, Step,
+};
 pub use metrics::{record_query_outcome, LatencyStats};
 pub use overlay::{replication_set, ReplicaRole, ReplicationSet};
 pub use planner::{
@@ -72,10 +79,9 @@ pub use policy::{
     apply_policy, Disclosure, OpenPolicy, RequesterId, SharingPolicy, TieredPolicy, TrustClass,
 };
 pub use queryexec::{
-    execute_query, execute_query_explained, execute_query_mode, execute_query_planned,
-    execute_query_planned_traced, execute_query_recorded, execute_query_traced, explain_from_trace,
-    record_query_events, trace_to_telemetry, ForwardingMode, QueryOutcome, SearchScope, TraceEvent,
-    TraceRole,
+    execute_query, execute_query_explained, execute_query_planned, execute_query_planned_traced,
+    execute_query_recorded, execute_query_traced, record_query_events, trace_to_telemetry,
+    QueryOutcome, SearchScope, TraceEvent, TraceRole,
 };
 pub use store::{
     ChangeEffect, DeltaOutcome, RecordChange, RecordDelta, ShardedStore, SHARDS_PER_STORE,

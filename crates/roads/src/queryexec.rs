@@ -1,33 +1,28 @@
-//! Client-driven query execution (§III-A "Searching for Resources",
-//! §III-C replication overlay shortcuts).
+//! Simulated query execution (§III-A "Searching for Resources", §III-C
+//! replication overlay shortcuts).
 //!
 //! A client submits its query to any server (usually its attachment point).
 //! The server evaluates the query against every summary it holds and
-//! *directs the client* to the matching branches (Fig. 2: "redirected
-//! request"); the client then queries those servers, which direct it
-//! further down their own branches, until every server that may hold
-//! matching records has been reached.
+//! directs it to the matching branches (Fig. 2), which direct it further
+//! down their own branches, until every server that may hold matching
+//! records has been reached. The protocol decisions live in
+//! [`crate::machine::QueryMachine`]; this module drives it in virtual time
+//! over a [`DelaySpace`].
 //!
 //! Latency follows the paper's definition: "the time from the client
 //! initiating a query to the query reaching the last server it needs to
-//! contact". Query overhead counts every forwarded query and redirect
-//! reply.
+//! contact". Query overhead counts every forwarded query and every
+//! ancestor-probe reply.
 
 use crate::engine::RoadsNetwork;
-use crate::planner::{PlanAction, QueryPlan};
+use crate::machine::{route, ContactMode, Dispatch, QueryMachine, RetryPolicy, ServerReply};
+use crate::planner::QueryPlan;
 use crate::tree::ServerId;
 use roads_netsim::DelaySpace;
 use roads_records::{wire::MSG_HEADER_BYTES, Query, WireSize};
-use roads_summary::SummaryVerdict;
-use roads_telemetry::{
-    Event, EventKind, ExplainDecision, ExplainHop, HopOutcome, LatencySplit, QueryExplain,
-    Recorder, SpanId, SummaryKind, TraceId,
-};
+use roads_telemetry::{Event, EventKind, QueryExplain, Recorder, SpanId, TraceId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
-
-/// Bytes per server id inside a redirect reply.
-const REDIRECT_ENTRY_BYTES: usize = 4;
+use std::collections::BinaryHeap;
 
 /// How far up the hierarchy a search may reach from its entry server.
 ///
@@ -99,27 +94,15 @@ pub struct QueryOutcome {
     pub matching_records: usize,
 }
 
+/// A contact in flight, ordered by arrival time (ties by server id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// The query's entry server: children + overlay shortcuts + ancestor
-    /// probes.
-    Entry,
-    /// A branch server reached by redirection: local data + children.
-    Branch,
-    /// An ancestor probed for its locally attached records only.
-    LocalOnly,
-}
-
-/// Time-ordered contact queue entry. `f64` arrival times are finite by
-/// construction, so a total order via bit patterns is safe here.
-#[derive(Debug, Clone, Copy, PartialEq)]
 struct Contact {
     at_us: u64,
     server: ServerId,
-    mode: Mode,
+    attempt: usize,
+    mode: ContactMode,
 }
 
-impl Eq for Contact {}
 impl PartialOrd for Contact {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
@@ -131,30 +114,8 @@ impl Ord for Contact {
     }
 }
 
-/// How the query travels between servers.
-///
-/// §III-A describes both styles: servers "direct the client to further
-/// query those children" (Fig. 2's redirected requests), while the latency
-/// analysis treats per-level cost as one forwarding hop ("the latency is
-/// determined by the number of levels in the hierarchy"). The simulation
-/// harness uses [`ForwardingMode::ServerForward`] — matching the paper's
-/// measured latencies — and the threaded prototype implements the
-/// client-redirect protocol, whose extra round trips are visible in
-/// Fig. 11's total response times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ForwardingMode {
-    /// Each server forwards the query straight to its matching targets:
-    /// one one-way hop per level.
-    #[default]
-    ServerForward,
-    /// Each server replies to the client, which re-issues the query: a
-    /// round trip back to the client per level.
-    ClientRedirect,
-}
-
 /// Execute `query` starting at `start`, over a converged [`RoadsNetwork`]
-/// with latencies from `delays`, using the default
-/// [`ForwardingMode::ServerForward`].
+/// with latencies from `delays`.
 ///
 /// The client is co-located with the entry server (the paper initiates each
 /// query "from a randomly chosen node"), so contacting the entry is free.
@@ -165,7 +126,7 @@ pub fn execute_query(
     start: ServerId,
     scope: SearchScope,
 ) -> QueryOutcome {
-    execute_query_mode(net, delays, query, start, scope, ForwardingMode::default())
+    execute_query_inner(net, delays, query, start, scope, None, None).0
 }
 
 /// One step of a traced execution: which server was contacted, when, in
@@ -205,16 +166,8 @@ pub fn execute_query_traced(
     scope: SearchScope,
 ) -> (QueryOutcome, Vec<TraceEvent>) {
     let mut trace = Vec::new();
-    let outcome = execute_query_inner(
-        net,
-        delays,
-        query,
-        start,
-        scope,
-        ForwardingMode::default(),
-        None,
-        Some(&mut trace),
-    );
+    let (outcome, _) =
+        execute_query_inner(net, delays, query, start, scope, None, Some(&mut trace));
     (outcome, trace)
 }
 
@@ -230,16 +183,7 @@ pub fn execute_query_planned(
     scope: SearchScope,
     plan: &QueryPlan,
 ) -> QueryOutcome {
-    execute_query_inner(
-        net,
-        delays,
-        query,
-        start,
-        scope,
-        ForwardingMode::default(),
-        Some(plan),
-        None,
-    )
+    execute_query_inner(net, delays, query, start, scope, Some(plan), None).0
 }
 
 /// [`execute_query_planned`] that also returns the contact trace.
@@ -252,13 +196,12 @@ pub fn execute_query_planned_traced(
     plan: &QueryPlan,
 ) -> (QueryOutcome, Vec<TraceEvent>) {
     let mut trace = Vec::new();
-    let outcome = execute_query_inner(
+    let (outcome, _) = execute_query_inner(
         net,
         delays,
         query,
         start,
         scope,
-        ForwardingMode::default(),
         Some(plan),
         Some(&mut trace),
     );
@@ -320,126 +263,6 @@ pub fn trace_to_telemetry(
     }
 }
 
-/// Map an [`AttributeSummary::kind_name`](roads_summary::AttributeSummary)
-/// label into the telemetry vocabulary.
-fn summary_kind(label: &str) -> Option<SummaryKind> {
-    Some(match label {
-        "histogram" => SummaryKind::Histogram,
-        "multires" => SummaryKind::MultiRes,
-        "set" => SummaryKind::ValueSet,
-        "bloom" => SummaryKind::Bloom,
-        _ => return None,
-    })
-}
-
-/// The summary kind likeliest to have *caused* the routing decision that
-/// contacted `server`: the fuzziest kind participating in its branch
-/// summary's match (the candidate false-positive source).
-fn deciding_kind(net: &RoadsNetwork, server: ServerId, query: &Query) -> Option<SummaryKind> {
-    match net.branch_summary(server).decide(query) {
-        SummaryVerdict::Match { fuzziest } => fuzziest.and_then(summary_kind),
-        SummaryVerdict::Prune { decided_by } => decided_by.and_then(summary_kind),
-    }
-}
-
-/// Build a [`QueryExplain`] provenance record from a finished simulation
-/// trace: one hop per contact, each with the routing decision that caused
-/// it (tree descent, overlay shortcut, ancestor probe), the summary kind
-/// behind the decision, false-positive detection, and a latency split
-/// (pure network transit in the simulation — queue and compute are
-/// emulated only by the threaded runtime).
-///
-/// `trace_id` links the record to flight-recorder events of the same
-/// execution (use [`TraceId::NONE`] when no recorder was attached).
-pub fn explain_from_trace(
-    net: &RoadsNetwork,
-    query: &Query,
-    trace_id: TraceId,
-    trace: &[TraceEvent],
-    outcome: &QueryOutcome,
-) -> QueryExplain {
-    let to_us = |ms: f64| ms * 1000.0;
-    // Who forwarded the query to each contact (contacts are time-ordered);
-    // same reconstruction as `record_query_events`.
-    let parent_idx: Vec<Option<usize>> = trace
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            if i == 0 {
-                None
-            } else {
-                trace[..i]
-                    .iter()
-                    .position(|p| p.forwarded_to.contains(&e.server))
-            }
-        })
-        .collect();
-    // A hop's duration covers its redirect subtree (its own work plus
-    // everything it caused), mirroring the recorded span tree.
-    let mut end_ms: Vec<f64> = trace.iter().map(|e| e.at_ms).collect();
-    for i in (1..trace.len()).rev() {
-        if let Some(p) = parent_idx[i] {
-            end_ms[p] = end_ms[p].max(end_ms[i]);
-        }
-    }
-    let hops = trace
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let (decision, summary) = match e.role {
-                TraceRole::Entry => (ExplainDecision::Entry, None),
-                TraceRole::AncestorProbe => (
-                    ExplainDecision::AncestorProbe,
-                    deciding_kind(net, e.server, query),
-                ),
-                TraceRole::Branch => {
-                    let forwarder = parent_idx[i].map(|p| trace[p].server);
-                    let via_tree = forwarder.is_some() && net.tree().parent(e.server) == forwarder;
-                    (
-                        if via_tree {
-                            ExplainDecision::SummaryDescent
-                        } else {
-                            ExplainDecision::OverlayShortcut
-                        },
-                        deciding_kind(net, e.server, query),
-                    )
-                }
-            };
-            let network_us = match parent_idx[i] {
-                Some(p) => to_us(e.at_ms - trace[p].at_ms),
-                None => 0.0,
-            };
-            ExplainHop {
-                server: e.server.0,
-                decision,
-                summary,
-                false_positive: e.role == TraceRole::Branch
-                    && e.local_matches == 0
-                    && e.forwarded_to.is_empty(),
-                outcome: HopOutcome::Replied,
-                at_us: to_us(e.at_ms),
-                dur_us: to_us(end_ms[i] - e.at_ms),
-                caused_by: parent_idx[i],
-                local_matches: e.local_matches as u64,
-                split: LatencySplit {
-                    network_us,
-                    ..LatencySplit::default()
-                },
-            }
-        })
-        .collect();
-    QueryExplain {
-        query_id: query.id.0,
-        trace_id: trace_id.0,
-        entry: trace.first().map(|e| e.server.0).unwrap_or(0),
-        response_us: to_us(outcome.latency_ms),
-        complete: true,
-        deadline_hit: false,
-        records: outcome.matching_records as u64,
-        hops,
-    }
-}
-
 /// [`execute_query`] that also assembles the per-query provenance record.
 /// When a recorder is attached the execution is additionally recorded as
 /// a span tree and the explain record carries its trace id.
@@ -451,7 +274,9 @@ pub fn execute_query_explained(
     scope: SearchScope,
     rec: Option<&Recorder>,
 ) -> (QueryOutcome, QueryExplain) {
-    let (outcome, trace) = execute_query_traced(net, delays, query, start, scope);
+    let mut trace = Vec::new();
+    let (outcome, machine) =
+        execute_query_inner(net, delays, query, start, scope, None, Some(&mut trace));
     let trace_id = match rec {
         Some(r) => {
             let id = r.next_trace_id();
@@ -460,7 +285,7 @@ pub fn execute_query_explained(
         }
         None => TraceId::NONE,
     };
-    let explain = explain_from_trace(net, query, trace_id, &trace, &outcome);
+    let explain = machine.explain(outcome.latency_ms * 1000.0, trace_id);
     (outcome, explain)
 }
 
@@ -571,42 +396,68 @@ pub fn execute_query_recorded(
     }
 }
 
-/// [`execute_query`] with an explicit [`ForwardingMode`].
-pub fn execute_query_mode(
-    net: &RoadsNetwork,
-    delays: &DelaySpace,
-    query: &Query,
-    start: ServerId,
-    scope: SearchScope,
-    mode: ForwardingMode,
-) -> QueryOutcome {
-    execute_query_inner(net, delays, query, start, scope, mode, None, None)
+/// Virtual-time links of one simulated query.
+struct Links<'d> {
+    delays: &'d DelaySpace,
+    query_msg_bytes: u64,
+    /// Contacts in flight, earliest arrival first.
+    heap: BinaryHeap<Reverse<Contact>>,
+    /// Arrival time of every attempt, indexed by attempt id.
+    arrival: Vec<u64>,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_query_inner(
-    net: &RoadsNetwork,
+impl Links<'_> {
+    fn send(&mut self, machine: &mut QueryMachine, outcome: &mut QueryOutcome, ds: Vec<Dispatch>) {
+        for d in ds {
+            // The entry is local (client co-located): zero latency, but the
+            // query message itself is still accounted.
+            let (at_us, link_us) = match d.caused_by {
+                None => (0, 0),
+                Some(c) => {
+                    let from = machine.attempts()[c].server;
+                    let link = self
+                        .delays
+                        .delay(from.index(), d.server.index())
+                        .as_micros();
+                    (self.arrival[c] + link, link)
+                }
+            };
+            self.arrival.push(at_us);
+            machine.set_link_us(d.attempt, link_us as f64);
+            outcome.query_bytes += self.query_msg_bytes;
+            outcome.query_messages += 1;
+            self.heap.push(Reverse(Contact {
+                at_us,
+                server: d.server,
+                attempt: d.attempt,
+                mode: d.mode,
+            }));
+        }
+    }
+}
+
+/// The simulation driver: runs a [`QueryMachine`] in virtual time. Every
+/// dispatch leaves its forwarder (the contact that caused it) when the
+/// query reached that forwarder and arrives one delay-space hop later:
+/// servers forward straight to their targets, one one-way hop per level,
+/// matching the paper's latency analysis. The driver keeps only that
+/// ordering and the byte/message accounting.
+fn execute_query_inner<'a>(
+    net: &'a RoadsNetwork,
     delays: &DelaySpace,
-    query: &Query,
+    query: &'a Query,
     start: ServerId,
     scope: SearchScope,
-    mode: ForwardingMode,
     plan: Option<&QueryPlan>,
-    mut trace: Option<&mut Vec<TraceEvent>>,
-) -> QueryOutcome {
-    if let Some(p) = plan {
-        assert_eq!(p.entry, start, "plan was computed for a different entry");
-    }
+    trace: Option<&mut Vec<TraceEvent>>,
+) -> (QueryOutcome, QueryMachine<'a>) {
     assert_eq!(
         net.len(),
         delays.len(),
         "delay space must cover all servers"
     );
-    let query_msg_bytes = query.wire_size() + MSG_HEADER_BYTES;
-    let client = start.index();
-
-    let mut heap: BinaryHeap<Reverse<Contact>> = BinaryHeap::new();
-    let mut visited: HashSet<ServerId> = HashSet::new();
+    let query_msg_bytes = (query.wire_size() + MSG_HEADER_BYTES) as u64;
+    let mut machine = QueryMachine::new(net, query, start, scope, RetryPolicy::default());
     let mut outcome = QueryOutcome {
         latency_ms: 0.0,
         query_bytes: 0,
@@ -615,176 +466,82 @@ fn execute_query_inner(
         matching_servers: Vec::new(),
         matching_records: 0,
     };
+    let mut links = Links {
+        delays,
+        query_msg_bytes,
+        heap: BinaryHeap::new(),
+        arrival: Vec::new(),
+    };
+    let first = machine.start(0, plan);
+    links.send(&mut machine, &mut outcome, first);
 
-    let entry_depth = net.tree().depth(start);
-    // Replica redirect targets and ancestor probes consume scope
-    // differently: an ancestor's sibling sits one level *below* the
-    // ancestor it is reached through, so it costs that ancestor's level
-    // count, not its own depth difference.
-    let replica_in_scope =
-        |target: ServerId| -> bool { scope.admits_replica(entry_depth, net.tree().depth(target)) };
-    let ancestor_in_scope =
-        |target: ServerId| -> bool { scope.admits_ancestor(entry_depth, net.tree().depth(target)) };
-
-    // The entry contact is local (client co-located): zero latency, but the
-    // query message itself is still accounted.
-    heap.push(Reverse(Contact {
-        at_us: 0,
-        server: start,
-        mode: Mode::Entry,
-    }));
-    outcome.query_bytes += query_msg_bytes as u64;
-    outcome.query_messages += 1;
-
-    while let Some(Reverse(c)) = heap.pop() {
-        if !visited.insert(c.server) {
-            continue;
-        }
+    // Trace events in contact order, with the attempt each one answered.
+    let mut traced: Vec<(TraceEvent, usize)> = Vec::new();
+    while let Some(Reverse(c)) = links.heap.pop() {
         outcome.servers_contacted += 1;
         let arrive_ms = c.at_us as f64 / 1000.0;
         outcome.latency_ms = outcome.latency_ms.max(arrive_ms);
-
-        let ev = match c.mode {
-            Mode::Entry => net.evaluate(c.server, query, true),
-            Mode::Branch => net.evaluate(c.server, query, false),
-            Mode::LocalOnly => {
-                // Probe local records only; no further redirection.
-                let local = net.search_local(c.server, query);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.push(TraceEvent {
-                        server: c.server,
-                        at_ms: arrive_ms,
-                        role: TraceRole::AncestorProbe,
-                        local_matches: local.len(),
-                        forwarded_to: Vec::new(),
-                    });
-                }
-                if !local.is_empty() {
-                    outcome.matching_servers.push(c.server);
-                    outcome.matching_records += local.len();
-                }
-                // Reply (header only) back to the client.
-                outcome.query_bytes += MSG_HEADER_BYTES as u64;
-                continue;
-            }
-        };
-
+        let route = route(net, c.server, query, c.mode);
         // One local search per contact — its size is reused for both the
         // outcome and the trace event (a second search would double the
         // compute-time attribution in the explain plane).
-        let local_matches = if ev.local_match {
-            let local = net.search_local(c.server, query);
-            if !local.is_empty() {
-                outcome.matching_servers.push(c.server);
-                outcome.matching_records += local.len();
-            }
-            local.len()
+        let local_matches = if route.search_local {
+            net.search_local(c.server, query).len()
         } else {
             0
         };
-
-        // Collect redirect targets.
-        let mut targets: Vec<(ServerId, Mode)> = ev
-            .child_targets
-            .iter()
-            .map(|&t| (t, Mode::Branch))
-            .collect();
-        if c.mode == Mode::Entry {
-            match plan {
-                // Planner batch: the entry dispatches exactly the planned
-                // contacts instead of expanding its own overlay view.
-                Some(p) => {
-                    targets = p
-                        .contacts
-                        .iter()
-                        .map(|pc| {
-                            let mode = match pc.action {
-                                PlanAction::Descend => Mode::Branch,
-                                PlanAction::Probe => Mode::LocalOnly,
-                            };
-                            (pc.server, mode)
-                        })
-                        .collect();
-                }
-                None => {
-                    targets.extend(
-                        ev.replica_targets
-                            .iter()
-                            .filter(|&&t| replica_in_scope(t))
-                            .map(|&t| (t, Mode::Branch)),
-                    );
-                    targets.extend(
-                        ev.ancestor_targets
-                            .iter()
-                            .filter(|&&t| ancestor_in_scope(t))
-                            .map(|&t| (t, Mode::LocalOnly)),
-                    );
-                }
-            }
+        if c.mode == ContactMode::LocalOnly {
+            // Probe reply (header only) back to the client.
+            outcome.query_bytes += MSG_HEADER_BYTES as u64;
         }
-        // Drop already-visited servers AND duplicates within this batch: a
-        // server reachable both as a child target and a replica target must
-        // be forwarded to once, not double-counted in messages/bytes. First
-        // occurrence wins (Branch entries precede LocalOnly probes).
-        let mut batch_seen: HashSet<ServerId> = HashSet::with_capacity(targets.len());
-        targets.retain(|(t, _)| !visited.contains(t) && batch_seen.insert(*t));
-        if let Some(tr) = trace.as_deref_mut() {
-            tr.push(TraceEvent {
+        let step = machine.reply(
+            c.attempt,
+            c.at_us,
+            ServerReply {
+                targets: route.targets,
+                records: local_matches,
+                ..ServerReply::default()
+            },
+        );
+        if step.fresh && local_matches > 0 {
+            outcome.matching_servers.push(c.server);
+            outcome.matching_records += local_matches;
+        }
+        links.send(&mut machine, &mut outcome, step.dispatches);
+        if trace.is_some() {
+            let role = match c.mode {
+                ContactMode::Entry => TraceRole::Entry,
+                ContactMode::LocalOnly => TraceRole::AncestorProbe,
+                ContactMode::Branch | ContactMode::Failover { .. } => TraceRole::Branch,
+            };
+            let event = TraceEvent {
                 server: c.server,
                 at_ms: arrive_ms,
-                role: if c.mode == Mode::Entry {
-                    TraceRole::Entry
-                } else {
-                    TraceRole::Branch
-                },
+                role,
                 local_matches,
-                forwarded_to: targets.iter().map(|(t, _)| *t).collect(),
-            });
+                forwarded_to: Vec::new(),
+            };
+            traced.push((event, c.attempt));
         }
-
-        match mode {
-            ForwardingMode::ServerForward => {
-                // The server forwards the query straight to each target;
-                // the client is informed of result locations out of band
-                // (not on the latency-critical path).
-                for (t, tmode) in targets {
-                    let at_us = c.at_us + delays.delay(c.server.index(), t.index()).as_micros();
-                    outcome.query_bytes += query_msg_bytes as u64;
-                    outcome.query_messages += 1;
-                    heap.push(Reverse(Contact {
-                        at_us,
-                        server: t,
-                        mode: tmode,
-                    }));
-                }
-            }
-            ForwardingMode::ClientRedirect => {
-                // Redirect reply back to the client (sent even when empty —
-                // the client must learn the branch is exhausted).
-                let reply_bytes = MSG_HEADER_BYTES + REDIRECT_ENTRY_BYTES * targets.len();
-                outcome.query_bytes += reply_bytes as u64;
-                if targets.is_empty() {
-                    continue;
-                }
-                let reply_at_us = c.at_us + delays.delay(c.server.index(), client).as_micros();
-                // Client forwards the query to each target.
-                for (t, tmode) in targets {
-                    let at_us = reply_at_us + delays.delay(client, t.index()).as_micros();
-                    outcome.query_bytes += query_msg_bytes as u64;
-                    outcome.query_messages += 1;
-                    heap.push(Reverse(Contact {
-                        at_us,
-                        server: t,
-                        mode: tmode,
-                    }));
-                }
+    }
+    if let Some(trace) = trace {
+        // A contact forwarded to every dispatch it caused, in dispatch
+        // order (a planned entry's batch included).
+        let mut slot = vec![usize::MAX; machine.attempts().len()];
+        for (i, (_, attempt)) in traced.iter().enumerate() {
+            slot[*attempt] = i;
+        }
+        for a in machine.attempts() {
+            if let Some(c) = a.caused_by {
+                traced[slot[c]].0.forwarded_to.push(a.server);
             }
         }
+        trace.extend(traced.into_iter().map(|(e, _)| e));
     }
 
     outcome.matching_servers.sort();
     outcome.matching_servers.dedup();
-    outcome
+    (outcome, machine)
 }
 
 #[cfg(test)]
@@ -793,6 +550,8 @@ mod tests {
     use crate::config::RoadsConfig;
     use roads_records::{OwnerId, QueryBuilder, QueryId, Record, RecordId, Schema, Value};
     use roads_summary::SummaryConfig;
+    use roads_telemetry::{ExplainDecision, HopOutcome, SummaryKind};
+    use std::collections::HashSet;
 
     /// n servers over 1 attribute; server s holds records at s/n ± tiny.
     fn network(n: usize, degree: usize) -> (RoadsNetwork, DelaySpace) {

@@ -3,9 +3,9 @@
 //!
 //! Runs the `roads-core` audit plane ([`ReplicaLedger`],
 //! [`audit_probe`](roads_core::audit_probe)) on a wall-clock schedule,
-//! mirroring the tail sampler's lifecycle (`roads_telemetry::Sampler`): a
-//! condvar-paced thread, `tick_now` for deterministic tests, one final
-//! tick on shutdown, and `stop()` returning the final [`AuditReport`].
+//! on the shared `roads_telemetry::Periodic` lifecycle: a background tick
+//! thread, `tick_now` for deterministic tests, one final tick on
+//! shutdown, and `stop()` returning the final [`AuditReport`].
 //!
 //! Each tick is budgeted — `probes_per_tick` queries rotate through the
 //! probe set, so the ground-truth sweep amortizes over many ticks instead
@@ -23,10 +23,9 @@ use roads_core::audit::{audit_probe, LevelAudit, ReplicaLedger};
 use roads_core::{RoadsNetwork, ServerId};
 use roads_records::Query;
 use roads_summary::AttributeSummary;
-use roads_telemetry::{labeled, Counter, Gauge, Json, Registry};
+use roads_telemetry::{labeled, Counter, Gauge, Json, Periodic, Registry, Tick};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex as StdMutex};
 use std::time::Duration;
 
 /// Liveness oracle for the auditor: `true` while a server is up. An
@@ -342,11 +341,9 @@ struct AuditorShared {
     probes: Vec<Query>,
     liveness: Liveness,
     state: StdMutex<AuditorState>,
-    cv: Condvar,
 }
 
 struct AuditorState {
-    stop: bool,
     ledger: ReplicaLedger,
     ticks: u64,
     /// Cumulative per-level tallies; `entries`/`diverged`/`staleness_max`
@@ -359,7 +356,7 @@ struct AuditorState {
     bloom_saturation: f64,
 }
 
-impl AuditorShared {
+impl Tick for AuditorShared {
     fn tick(&self) {
         let mut st = self.state.lock().expect("auditor state");
         st.ticks += 1;
@@ -426,7 +423,9 @@ impl AuditorShared {
             }
         }
     }
+}
 
+impl AuditorShared {
     fn report_locked(&self, st: &AuditorState) -> AuditReport {
         let levels = st
             .levels
@@ -463,15 +462,16 @@ impl AuditorShared {
 /// shutdown path runs one final tick first, so late kills/restarts are
 /// always audited.
 pub struct Auditor {
-    shared: Arc<AuditorShared>,
-    handle: Option<JoinHandle<()>>,
+    periodic: Periodic<AuditorShared>,
 }
 
 impl Auditor {
     /// Snapshot the overlay into a fresh [`ReplicaLedger`] and start
     /// auditing `net` every [`AuditConfig::interval`], evaluating ground
-    /// truth with `probes` and liveness from `liveness`. The first tick
-    /// runs immediately.
+    /// truth with `probes` and liveness from `liveness`. The first
+    /// scheduled tick fires one full interval after start: an immediate
+    /// tick would offset the refresh phase under manually driven
+    /// schedules (`tick_now` with a long interval).
     pub fn start(
         net: Arc<RoadsNetwork>,
         metrics: Arc<AuditMetrics>,
@@ -479,7 +479,6 @@ impl Auditor {
         probes: Vec<Query>,
         liveness: Liveness,
     ) -> Self {
-        assert!(!cfg.interval.is_zero(), "audit interval must be positive");
         let ledger = ReplicaLedger::new(&net);
         let interval = cfg.interval;
         let shared = Arc::new(AuditorShared {
@@ -489,7 +488,6 @@ impl Auditor {
             probes,
             liveness,
             state: StdMutex::new(AuditorState {
-                stop: false,
                 ledger,
                 ticks: 0,
                 levels: Vec::new(),
@@ -498,82 +496,37 @@ impl Auditor {
                 max_drift: 0.0,
                 bloom_saturation: 0.0,
             }),
-            cv: Condvar::new(),
         });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("roads-auditor".into())
-            .spawn(move || {
-                let sh = thread_shared;
-                // First scheduled tick fires one full interval after start:
-                // an immediate tick would offset the refresh phase under
-                // manually driven schedules (tick_now with a long interval).
-                let mut next = std::time::Instant::now() + interval;
-                loop {
-                    let mut st = sh.state.lock().expect("auditor state");
-                    while !st.stop && std::time::Instant::now() < next {
-                        let wait = next.saturating_duration_since(std::time::Instant::now());
-                        let (guard, _) = sh.cv.wait_timeout(st, wait).expect("auditor state");
-                        st = guard;
-                    }
-                    let stopping = st.stop;
-                    drop(st);
-                    // One final tick on shutdown: kills/restarts since the
-                    // last scheduled tick must reach the final report.
-                    sh.tick();
-                    if stopping {
-                        return;
-                    }
-                    next += interval;
-                }
-            })
-            .expect("spawn auditor thread");
         Auditor {
-            shared,
-            handle: Some(handle),
+            periodic: Periodic::start("roads-auditor", shared, interval),
         }
     }
 
     /// Run one audit tick right now, outside the schedule (deterministic
     /// tests).
     pub fn tick_now(&self) {
-        self.shared.tick();
+        self.periodic.tick_now();
     }
 
     /// The report accumulated so far.
     pub fn report(&self) -> AuditReport {
-        let st = self.shared.state.lock().expect("auditor state");
-        self.shared.report_locked(&st)
+        let shared = self.periodic.work();
+        let st = shared.state.lock().expect("auditor state");
+        shared.report_locked(&st)
     }
 
     /// Stop the background thread and return the final report (written to
     /// [`AuditConfig::report_path`] as well, when configured).
     pub fn stop(mut self) -> AuditReport {
-        self.shutdown();
-        let report = {
-            let st = self.shared.state.lock().expect("auditor state");
-            self.shared.report_locked(&st)
-        };
-        if let Some(path) = &self.shared.cfg.report_path {
+        self.periodic.stop();
+        let report = self.report();
+        let shared = self.periodic.work();
+        if let Some(path) = &shared.cfg.report_path {
             if report.write(path).is_ok() {
-                self.shared.metrics.reports.inc();
+                shared.metrics.reports.inc();
             }
         }
         report
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.shared.state.lock().expect("auditor state").stop = true;
-            self.shared.cv.notify_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Auditor {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 

@@ -4,7 +4,10 @@
 //! from a [`RoadsNetwork`]; what runs *live* here is the part the paper
 //! could not simulate — concurrent query processing against per-server
 //! record stores, with real parallelism across servers and delay-space
-//! latencies applied per message.
+//! latencies applied per message. The query protocol itself — routing,
+//! dedup, retry, failover, completeness, explain — is
+//! [`roads_core::QueryMachine`]'s; the driver here only carries its
+//! dispatches over threads and channels.
 //!
 //! # Fault model
 //!
@@ -26,7 +29,7 @@
 //!
 //! [`RoadsCluster::query`] takes `&self` and any number of client threads
 //! may call it at once: each call owns a private [`Driver`] (its own
-//! attempt table, visit ledger, reply channel, and failure bookkeeping),
+//! query machine, reply channel, and timers),
 //! so outcomes — `retries`, `failed_servers`, `servers_contacted`,
 //! recorder events — are attributed to exactly the query that caused
 //! them, never pooled across in-flight queries. The shared pieces (the
@@ -37,25 +40,22 @@
 
 use crate::audit::{AuditMetrics, Liveness};
 use crate::config::RuntimeConfig;
-use crate::faults::{backoff_delay, mode_rank, DispatchHandle, Dispatcher, VisitLedger};
+use crate::faults::{DispatchHandle, Dispatcher};
 use crate::health::{ClusterHealth, FaultKind, FaultLog, RuntimeMetrics, ServerHealth};
 use crate::store::RecordStore;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use roads_core::policy::{apply_policy, OpenPolicy, RequesterId, SharingPolicy};
 use roads_core::{
-    plan_query, CachedResult, DeltaOutcome, PlanAction, ResultCache, RoadsNetwork, SearchScope,
-    ServerId,
+    plan_query, route, CachedResult, ContactMode, DeltaOutcome, Dispatch, QueryMachine,
+    ResultCache, RetryPolicy, RoadsNetwork, Route, SearchScope, ServerId, ServerReply,
 };
 use roads_netsim::DelaySpace;
 use roads_records::{Query, Record, WireSize};
-use roads_summary::SummaryVerdict;
 use roads_telemetry::{
     span::timed, trace_events, Event, EventKind, ExplainDecision, ExplainHop, Gauge, Histogram,
-    HopOutcome, LatencySplit, QueryExplain, Recorder, Registry, SpanId, SummaryKind, TailSampler,
-    TraceId,
+    HopOutcome, LatencySplit, QueryExplain, Recorder, Registry, SpanId, TailSampler, TraceId,
 };
-use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::{self, JoinHandle};
@@ -126,24 +126,6 @@ impl Drop for InflightSlot<'_> {
     }
 }
 
-/// How a contacted server treats the query (mirrors the simulator's
-/// redirect protocol).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ContactMode {
-    /// Entry server: children + overlay shortcuts + ancestor probes.
-    Entry,
-    /// Branch server: local data + children.
-    Branch,
-    /// Ancestor probe: local data only.
-    LocalOnly,
-    /// Overlay stand-in for a crashed server: forward to `dead`'s children
-    /// using its replicated branch summary, no local search here.
-    Failover {
-        /// The unreachable server being routed around.
-        dead: ServerId,
-    },
-}
-
 pub(crate) enum ServerRequest {
     Query {
         query: Query,
@@ -161,8 +143,7 @@ pub(crate) enum ServerRequest {
 pub(crate) enum Notice {
     /// A server's reply landed (after the return delay).
     Reply {
-        attempt: u64,
-        server: ServerId,
+        attempt: usize,
         targets: Vec<(ServerId, ContactMode)>,
         records: Vec<Record>,
         /// Mailbox wait measured by the server (enqueue → pickup), µs.
@@ -174,7 +155,7 @@ pub(crate) enum Notice {
     /// The target's mailbox was already closed — its thread exited or
     /// panicked before the request could even be queued. The attempt id
     /// identifies which dispatch (and server) this was.
-    Down { attempt: u64 },
+    Down { attempt: usize },
 }
 
 /// One-shot reply path handed to a server with each request. Replying
@@ -184,8 +165,7 @@ pub(crate) enum Notice {
 pub(crate) struct ReplyHandle {
     timer: DispatchHandle,
     done: Sender<Notice>,
-    attempt: u64,
-    server: ServerId,
+    attempt: usize,
     delay_back: Duration,
 }
 
@@ -201,7 +181,6 @@ impl ReplyHandle {
             timer,
             done,
             attempt,
-            server,
             delay_back,
         } = self;
         timer.schedule_after(
@@ -210,7 +189,6 @@ impl ReplyHandle {
                 done,
                 notice: Notice::Reply {
                     attempt,
-                    server,
                     targets,
                     records,
                     queue_us,
@@ -229,7 +207,7 @@ pub(crate) enum DispatchJob {
         sender: Sender<ServerRequest>,
         request: ServerRequest,
         done: Sender<Notice>,
-        attempt: u64,
+        attempt: usize,
         /// The target's `runtime.server.queue_depth` gauge, bumped on a
         /// successful delivery (the server thread decrements on pickup).
         /// The vendored channel has no `len()`, so depth is maintained
@@ -804,35 +782,9 @@ impl RoadsCluster {
                 m.cache_misses.inc();
             }
         }
-        let rec = self.recorder.as_deref();
         let (done_tx, done_rx) = unbounded::<Notice>();
-        let driver = Driver {
-            cluster: self,
-            query,
-            requester,
-            start,
-            t0,
-            trace: rec.map(|r| r.next_trace_id()).unwrap_or(TraceId::NONE),
-            rec,
-            done_tx,
-            next_attempt: 0,
-            attempts: HashMap::new(),
-            open: 0,
-            ledger: VisitLedger::new(),
-            resolved: HashSet::new(),
-            failed: BTreeMap::new(),
-            dead_helpers: HashSet::new(),
-            failover_pos: HashMap::new(),
-            records: Vec::new(),
-            responders: HashSet::new(),
-            entry_served: false,
-            retries: 0,
-            deadline_hit: false,
-            root_span: SpanId::NONE,
-            explain_hops: want_explain.then(Vec::new),
-            attempt_hop: HashMap::new(),
-        };
-        let (outcome, explain) = driver.run(done_rx);
+        let driver = Driver::new(self, query, start, requester, done_tx, t0);
+        let (outcome, explain) = driver.run(done_rx, want_explain);
         if let Some(cache) = &self.cache {
             // Replaying an incomplete answer would hide a transient fault
             // until the TTL expired; only provably-complete results are
@@ -992,24 +944,11 @@ fn spawn_server(
     }
 }
 
-/// One dispatched sub-query from the client's point of view.
-struct Attempt {
-    server: ServerId,
-    mode: ContactMode,
-    /// Retries already performed for this target before this attempt.
-    tries: u32,
-    span: SpanId,
-    /// Dispatch time, µs since query start.
-    at_us: u64,
-    parent: SpanId,
-    /// When this attempt is declared timed out (`None` = no per-dispatch
-    /// timeout configured).
-    expires: Option<Instant>,
-    /// Still awaiting a reply.
-    open: bool,
-}
-
-/// Per-query state machine driving dispatch, retry, and failover.
+/// The live driver of one query: carries out the [`QueryMachine`]'s
+/// dispatches over the dispatcher and server mailboxes, runs the
+/// per-dispatch timers and the query deadline, and keeps the metrics,
+/// flight-recorder events and merged records. Every protocol decision is
+/// the machine's.
 struct Driver<'a> {
     cluster: &'a RoadsCluster,
     query: &'a Query,
@@ -1019,64 +958,63 @@ struct Driver<'a> {
     trace: TraceId,
     rec: Option<&'a Recorder>,
     done_tx: Sender<Notice>,
-    next_attempt: u64,
-    attempts: HashMap<u64, Attempt>,
-    /// Attempts still awaiting a reply.
-    open: usize,
-    ledger: VisitLedger,
-    /// Servers whose local data has been merged into `records` (guards
-    /// against double-merging when a late reply races a retry's).
-    resolved: HashSet<ServerId>,
-    /// Servers given up on, with the widest mode that failed.
-    failed: BTreeMap<ServerId, ContactMode>,
-    /// Overlay stand-ins that died while helping. Kept apart from
-    /// `failed` (which feeds completeness and `failed_servers`): a dead
-    /// helper only disqualifies itself from further failover nominations.
-    dead_helpers: HashSet<ServerId>,
-    /// Next failover candidate index per dead server.
-    failover_pos: HashMap<ServerId, usize>,
+    machine: QueryMachine<'a>,
+    /// Flight-recorder span of each attempt, indexed by attempt id.
+    spans: Vec<SpanId>,
+    /// When each open attempt times out (`None` once closed, or with no
+    /// per-dispatch timeout configured).
+    expires: Vec<Option<Instant>>,
     records: Vec<Record>,
-    /// Distinct servers whose replies landed.
-    responders: HashSet<ServerId>,
-    /// Whether any Entry-mode reply landed — i.e. the overlay evaluation
-    /// (ancestor probes, replica shortcuts) ran somewhere. Without it a
-    /// failed entry leaves the hierarchy beyond its own branch unexamined,
-    /// so completeness cannot be claimed.
-    entry_served: bool,
-    retries: usize,
-    deadline_hit: bool,
-    root_span: SpanId,
-    /// Explain assembly: one [`ExplainHop`] per dispatched attempt, in
-    /// dispatch order. `None` disables the whole plane (the hot path
-    /// then only pays a branch per dispatch).
-    explain_hops: Option<Vec<ExplainHop>>,
-    /// Attempt id → index into `explain_hops` (resolves replies,
-    /// timeouts and deadline abandonment back to their hop).
-    attempt_hop: HashMap<u64, usize>,
 }
 
-/// Map a summary kind label (as returned by
-/// `AttributeSummary::kind_name`) to its explain-plane enum.
-fn summary_kind(label: &str) -> Option<SummaryKind> {
-    Some(match label {
-        "histogram" => SummaryKind::Histogram,
-        "multires" => SummaryKind::MultiRes,
-        "set" => SummaryKind::ValueSet,
-        "bloom" => SummaryKind::Bloom,
-        _ => return None,
-    })
-}
+impl<'a> Driver<'a> {
+    fn new(
+        cluster: &'a RoadsCluster,
+        query: &'a Query,
+        start: ServerId,
+        requester: RequesterId,
+        done_tx: Sender<Notice>,
+        t0: Instant,
+    ) -> Self {
+        let cfg = cluster.cfg;
+        let rec = cluster.recorder.as_deref();
+        let policy = RetryPolicy {
+            max_retries: cfg.max_retries,
+            backoff_base_ms: cfg.backoff_base_ms,
+            failover: cfg.enable_failover,
+        };
+        Driver {
+            cluster,
+            query,
+            requester,
+            start,
+            t0,
+            trace: rec.map(|r| r.next_trace_id()).unwrap_or(TraceId::NONE),
+            rec,
+            done_tx,
+            // The live path always searches the whole hierarchy.
+            machine: QueryMachine::new(&cluster.net, query, start, SearchScope::full(), policy),
+            spans: Vec::new(),
+            expires: Vec::new(),
+            records: Vec::new(),
+        }
+    }
 
-impl Driver<'_> {
-    fn run(mut self, done_rx: Receiver<Notice>) -> (RuntimeOutcome, Option<QueryExplain>) {
+    fn now_us(&self) -> u64 {
+        self.t0.elapsed().as_micros() as u64
+    }
+
+    fn run(
+        mut self,
+        done_rx: Receiver<Notice>,
+        want_explain: bool,
+    ) -> (RuntimeOutcome, Option<QueryExplain>) {
         let cfg = self.cluster.cfg;
         let deadline = (cfg.query_deadline_ms > 0)
             .then(|| self.t0 + Duration::from_millis(cfg.query_deadline_ms));
         // Replica-aware planning: the client batches the set-cover
         // contacts computed from the entry's replicated summaries instead
-        // of asking the entry to expand greedily. The entry then serves
-        // only as a local-search target — every other contact it would
-        // have returned is already in the plan.
+        // of letting the entry expand greedily.
         let plan = cfg.enable_planner.then(|| {
             plan_query(
                 &self.cluster.net,
@@ -1085,68 +1023,30 @@ impl Driver<'_> {
                 SearchScope::full(),
             )
         });
-        let entry_mode = match plan {
-            Some(_) => ContactMode::LocalOnly,
-            None => ContactMode::Entry,
-        };
-        self.ledger.admit(self.start, entry_mode);
-        let entry = self.dispatch(
-            self.start,
-            entry_mode,
-            SpanId::NONE,
-            Duration::ZERO,
-            0,
-            None,
-            ExplainDecision::Entry,
-        );
-        self.root_span = self.attempts[&entry].span;
+        if let (Some(plan), Some(m)) = (&plan, &self.cluster.metrics) {
+            m.planned_queries.inc();
+            m.pruned_probes.add(plan.pruned_probes as u64);
+        }
+        let first = self.machine.start(self.now_us(), plan.as_ref());
+        self.send(first);
         self.emit(Event {
-            at_us: self.attempts[&entry].at_us,
+            at_us: self.machine.attempts()[0].at_us,
             dur_us: 0,
             node: self.start.0,
             trace: self.trace,
-            span: self.root_span,
+            span: self.spans[0],
             parent: SpanId::NONE,
             kind: EventKind::QueryStart,
             detail: self.trace.0,
         });
-        if let Some(plan) = &plan {
-            if let Some(m) = &self.cluster.metrics {
-                m.planned_queries.inc();
-                m.pruned_probes.add(plan.pruned_probes as u64);
-            }
-            for pc in &plan.contacts {
-                let mode = match pc.action {
-                    PlanAction::Descend => ContactMode::Branch,
-                    PlanAction::Probe => ContactMode::LocalOnly,
-                };
-                if self.ledger.admit(pc.server, mode) {
-                    // Hop 0 is the entry: the plan was computed from its
-                    // replicated summaries, so it caused every contact.
-                    self.dispatch(
-                        pc.server,
-                        mode,
-                        self.root_span,
-                        Duration::ZERO,
-                        0,
-                        Some(0),
-                        ExplainDecision::Planned,
-                    );
-                }
-            }
-        }
 
-        while self.open > 0 {
+        let mut deadline_hit = false;
+        while !self.machine.is_done() {
             if deadline.is_some_and(|d| Instant::now() >= d) {
-                self.deadline_hit = true;
+                deadline_hit = true;
                 break;
             }
-            let next_expiry = self
-                .attempts
-                .values()
-                .filter(|a| a.open)
-                .filter_map(|a| a.expires)
-                .min();
+            let next_expiry = self.expires.iter().flatten().min().copied();
             let wake = match (next_expiry, deadline) {
                 (Some(e), Some(d)) => Some(e.min(d)),
                 (Some(e), None) => Some(e),
@@ -1160,7 +1060,6 @@ impl Driver<'_> {
             match msg {
                 Ok(Notice::Reply {
                     attempt,
-                    server,
                     targets,
                     records,
                     queue_us,
@@ -1176,19 +1075,25 @@ impl Driver<'_> {
                         self.cluster.metrics.as_ref().map(|m| {
                             roads_telemetry::SpanTimer::start(Arc::clone(&m.result_merge))
                         });
-                    self.on_reply(attempt, server, targets, records, queue_us, compute_us);
+                    self.on_reply(
+                        attempt,
+                        ServerReply {
+                            targets,
+                            records: records.len(),
+                            queue_us,
+                            compute_us,
+                        },
+                        records,
+                    );
                 }
-                Ok(Notice::Down { attempt }) => self.attempt_failed(attempt, true),
+                Ok(Notice::Down { attempt }) => self.on_failure(attempt, true),
                 Err(RecvTimeoutError::Timeout) => {
                     let now = Instant::now();
-                    let expired: Vec<u64> = self
-                        .attempts
-                        .iter()
-                        .filter(|(_, a)| a.open && a.expires.is_some_and(|e| e <= now))
-                        .map(|(&id, _)| id)
+                    let expired: Vec<usize> = (0..self.expires.len())
+                        .filter(|&i| self.expires[i].is_some_and(|e| e <= now))
                         .collect();
                     for id in expired {
-                        self.attempt_failed(id, false);
+                        self.on_failure(id, false);
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
@@ -1197,32 +1102,28 @@ impl Driver<'_> {
             }
         }
 
-        if self.deadline_hit {
-            // Out of budget: record every still-pending dispatch as timed
-            // out and failed, but start no more work.
-            let open: Vec<u64> = self
-                .attempts
-                .iter()
-                .filter(|(_, a)| a.open)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in open {
-                self.close_at_deadline(id);
+        if deadline_hit {
+            // Out of budget: every still-pending dispatch is recorded as
+            // timed out and its target failed, but no more work starts.
+            let now_us = self.now_us();
+            for id in self.machine.deadline(now_us) {
+                self.timed_out(id, now_us);
             }
         }
 
         self.emit(Event {
-            at_us: self.t0.elapsed().as_micros() as u64,
+            at_us: self.now_us(),
             dur_us: 0,
             node: self.start.0,
             trace: self.trace,
-            span: self.root_span,
+            span: self.spans[0],
             parent: SpanId::NONE,
             kind: EventKind::QueryComplete,
             detail: self.records.len() as u64,
         });
 
-        let complete = self.completeness();
+        let complete = self.machine.completeness();
+        let failed_servers = self.machine.failed_servers();
         let response_ms = self.t0.elapsed().as_secs_f64() * 1000.0;
         if let Some(m) = &self.cluster.metrics {
             m.queries.inc();
@@ -1230,7 +1131,7 @@ impl Driver<'_> {
             if !complete {
                 m.incomplete.inc();
             }
-            if self.deadline_hit {
+            if deadline_hit {
                 m.deadline_miss.inc();
             }
             let slo = cfg.slo_response_ms;
@@ -1238,18 +1139,9 @@ impl Driver<'_> {
                 m.slo_violation.inc();
             }
         }
-        let explain = self.explain_hops.take().map(|hops| QueryExplain {
-            query_id: self.query.id.0,
-            trace_id: self.trace.0,
-            entry: self.start.0,
-            response_us: response_ms * 1_000.0,
-            complete,
-            deadline_hit: self.deadline_hit,
-            records: self.records.len() as u64,
-            hops,
-        });
+        let explain = want_explain.then(|| self.machine.explain(response_ms * 1_000.0, self.trace));
         if let (Some(tail), Some(explain)) = (&self.cluster.tail, &explain) {
-            let failed = !self.failed.is_empty();
+            let failed = !failed_servers.is_empty();
             // Collecting the flight-recorder trace means scanning the
             // whole ring buffer — only worth it for queries the sampler
             // will actually retain. `classify` is stable across the
@@ -1268,196 +1160,133 @@ impl Driver<'_> {
             RuntimeOutcome {
                 response_ms,
                 records: self.records,
-                servers_contacted: self.responders.len(),
+                servers_contacted: self.machine.responders(),
                 complete,
-                failed_servers: self.failed.keys().copied().collect(),
-                retries: self.retries,
+                failed_servers,
+                retries: self.machine.retries(),
             },
             explain,
         )
     }
 
-    /// Send one sub-query; `extra_delay` is the retry backoff (zero for
-    /// first attempts). `caused_by`/`decision` feed the explain plane:
-    /// the hop index that triggered this dispatch and why. Returns the
-    /// attempt id.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &mut self,
-        target: ServerId,
-        mode: ContactMode,
-        parent: SpanId,
-        extra_delay: Duration,
-        tries: u32,
-        caused_by: Option<usize>,
-        decision: ExplainDecision,
-    ) -> u64 {
-        let cfg = self.cluster.cfg;
-        let id = self.next_attempt;
-        self.next_attempt += 1;
-        let span = match self.rec {
-            Some(r) => r.next_span_id(),
+    /// The span an attempt's events nest under: its cause's span.
+    fn parent_span(&self, attempt: usize) -> SpanId {
+        match self.machine.attempts()[attempt].caused_by {
+            Some(c) => self.spans[c],
             None => SpanId::NONE,
-        };
-        let delay_out = self.cluster.scaled_delay(self.start, target);
-        let at_us = self.t0.elapsed().as_micros() as u64;
-        if let Some(hops) = &mut self.explain_hops {
-            // Which summary structure vouched for this hop. Descent and
-            // shortcut hops were admitted by the target's *branch*
-            // summary; ancestor probes by its *local* summary (the probe
-            // asks only about the ancestor's own records).
-            let summary = match decision {
-                ExplainDecision::SummaryDescent | ExplainDecision::OverlayShortcut => {
-                    match self.cluster.net.branch_summary(target).decide(self.query) {
-                        SummaryVerdict::Match { fuzziest } => fuzziest.and_then(summary_kind),
-                        SummaryVerdict::Prune { decided_by } => decided_by.and_then(summary_kind),
-                    }
-                }
-                ExplainDecision::AncestorProbe => {
-                    match self.cluster.net.local_summary(target).decide(self.query) {
-                        SummaryVerdict::Match { fuzziest } => fuzziest.and_then(summary_kind),
-                        SummaryVerdict::Prune { decided_by } => decided_by.and_then(summary_kind),
-                    }
-                }
-                // A planned descent was admitted by the target's branch
-                // summary; a planned probe by its *local* summary (that is
-                // the planner's pruning criterion).
-                ExplainDecision::Planned => {
-                    let verdict = match mode {
-                        ContactMode::Branch => {
-                            self.cluster.net.branch_summary(target).decide(self.query)
-                        }
-                        _ => self.cluster.net.local_summary(target).decide(self.query),
-                    };
-                    match verdict {
-                        SummaryVerdict::Match { fuzziest } => fuzziest.and_then(summary_kind),
-                        SummaryVerdict::Prune { decided_by } => decided_by.and_then(summary_kind),
-                    }
-                }
-                _ => None,
-            };
-            self.attempt_hop.insert(id, hops.len());
-            hops.push(ExplainHop {
-                server: target.0,
-                decision,
-                summary,
-                false_positive: false,
-                // Placeholder until the reply/timeout resolves the hop;
-                // deadline-cut hops keep it.
-                outcome: HopOutcome::Abandoned,
-                at_us: at_us as f64,
-                dur_us: 0.0,
-                caused_by,
-                local_matches: 0,
-                split: LatencySplit {
-                    queue_us: 0.0,
-                    // Round trip over the simulated link, known exactly
-                    // at dispatch time (symmetric one-way latency).
-                    network_us: 2.0 * delay_out.as_micros() as f64,
-                    compute_us: 0.0,
-                    backoff_us: extra_delay.as_micros() as f64,
-                },
-            });
         }
-        let expires = (cfg.dispatch_timeout_ms > 0)
-            .then(|| Instant::now() + extra_delay + Duration::from_millis(cfg.dispatch_timeout_ms));
-        self.attempts.insert(
-            id,
-            Attempt {
-                server: target,
-                mode,
-                tries,
-                span,
-                at_us,
-                parent,
-                expires,
-                open: true,
-            },
-        );
-        self.open += 1;
-        let sender = self.cluster.servers[target.index()].lock().sender.clone();
-        let reply = ReplyHandle {
-            timer: self.cluster.dispatcher.handle().clone(),
-            done: self.done_tx.clone(),
-            attempt: id,
-            server: target,
-            delay_back: delay_out, // symmetric one-way latency
-        };
-        self.cluster.dispatcher.handle().schedule_after(
-            extra_delay + delay_out,
-            DispatchJob::Send {
-                sender,
-                request: ServerRequest::Query {
-                    query: self.query.clone(),
-                    mode,
-                    requester: self.requester,
-                    reply,
-                    // Re-stamped at mailbox delivery (DispatchJob::run);
-                    // this value is never read.
-                    enqueued: Instant::now(),
-                },
-                done: self.done_tx.clone(),
-                attempt: id,
-                queue: self
-                    .cluster
-                    .metrics
-                    .as_ref()
-                    .map(|m| Arc::clone(&m.servers[target.index()].queue_depth)),
-            },
-        );
-        id
     }
 
-    fn on_reply(
-        &mut self,
-        attempt: u64,
-        server: ServerId,
-        targets: Vec<(ServerId, ContactMode)>,
-        records: Vec<Record>,
-        queue_us: f64,
-        compute_us: f64,
-    ) {
-        let Some(a) = self.attempts.get_mut(&attempt) else {
-            return;
-        };
-        let (span, at_us, mode) = (a.span, a.at_us, a.mode);
-        let parent = a.parent;
-        if a.open {
-            a.open = false;
-            self.open -= 1;
-        }
-        let replier_hop = self.attempt_hop.get(&attempt).copied();
-        if let Some(hops) = &mut self.explain_hops {
-            if let Some(hi) = replier_hop {
-                // Late replies (racing a retry, or landing after a
-                // timeout verdict) still resolve their hop: the record
-                // should show what actually happened, and it keeps
-                // `distinct_responders` consistent with the outcome's
-                // `servers_contacted`.
-                let h = &mut hops[hi];
-                h.outcome = HopOutcome::Replied;
-                h.dur_us = (self.t0.elapsed().as_micros() as u64).saturating_sub(at_us) as f64;
-                h.local_matches = records.len() as u64;
-                h.split.queue_us = queue_us;
-                h.split.compute_us = compute_us;
-                // A branch summary vouched for this subtree, yet neither
-                // local records nor any further redirect came back: the
-                // lossy summary matched spuriously.
-                h.false_positive = matches!(mode, ContactMode::Branch)
-                    && records.is_empty()
-                    && targets.is_empty()
-                    && h.summary.is_some();
+    /// Carry out the machine's dispatches: each goes out after its retry
+    /// backoff plus the outbound link delay.
+    fn send(&mut self, dispatches: Vec<Dispatch>) {
+        let cfg = self.cluster.cfg;
+        for d in dispatches {
+            let span = match self.rec {
+                Some(r) => r.next_span_id(),
+                None => SpanId::NONE,
+            };
+            self.spans.push(span);
+            let delay_out = self.cluster.scaled_delay(self.start, d.server);
+            // Round trip over the simulated link, known exactly at
+            // dispatch time (symmetric one-way latency).
+            self.machine
+                .set_link_us(d.attempt, 2.0 * delay_out.as_micros() as f64);
+            let backoff = Duration::from_micros(d.backoff_us);
+            self.expires.push((cfg.dispatch_timeout_ms > 0).then(|| {
+                Instant::now() + backoff + Duration::from_millis(cfg.dispatch_timeout_ms)
+            }));
+            let parent = self.parent_span(d.attempt);
+            match d.decision {
+                ExplainDecision::Retry => {
+                    if let Some(m) = &self.cluster.metrics {
+                        m.retries.inc();
+                    }
+                    // Marks the timed-out attempt the retry nests under.
+                    let failed = d.caused_by.expect("a retry has a cause");
+                    self.emit(Event {
+                        at_us: self.now_us(),
+                        dur_us: 0,
+                        node: d.server.0,
+                        trace: self.trace,
+                        span: parent,
+                        parent: self.parent_span(failed),
+                        kind: EventKind::Retry,
+                        detail: self.machine.attempts()[d.attempt].tries as u64,
+                    });
+                }
+                ExplainDecision::Failover => {
+                    if let Some(m) = &self.cluster.metrics {
+                        m.failovers.inc();
+                    }
+                    let dead = match d.mode {
+                        ContactMode::Failover { dead } => dead,
+                        // A replacement entry stands in for the failed one.
+                        _ => {
+                            let failed = d.caused_by.expect("a failover has a cause");
+                            self.machine.attempts()[failed].server
+                        }
+                    };
+                    self.emit(Event {
+                        at_us: self.now_us(),
+                        dur_us: 0,
+                        node: d.server.0,
+                        trace: self.trace,
+                        span,
+                        parent,
+                        kind: EventKind::Failover,
+                        detail: dead.0 as u64,
+                    });
+                }
+                _ => {}
             }
+            let sender = self.cluster.servers[d.server.index()].lock().sender.clone();
+            let reply = ReplyHandle {
+                timer: self.cluster.dispatcher.handle().clone(),
+                done: self.done_tx.clone(),
+                attempt: d.attempt,
+                delay_back: delay_out, // symmetric one-way latency
+            };
+            self.cluster.dispatcher.handle().schedule_after(
+                backoff + delay_out,
+                DispatchJob::Send {
+                    sender,
+                    request: ServerRequest::Query {
+                        query: self.query.clone(),
+                        mode: d.mode,
+                        requester: self.requester,
+                        reply,
+                        // Re-stamped at mailbox delivery (DispatchJob::run);
+                        // this value is never read.
+                        enqueued: Instant::now(),
+                    },
+                    done: self.done_tx.clone(),
+                    attempt: d.attempt,
+                    queue: self
+                        .cluster
+                        .metrics
+                        .as_ref()
+                        .map(|m| Arc::clone(&m.servers[d.server.index()].queue_depth)),
+                },
+            );
         }
+    }
+
+    fn on_reply(&mut self, attempt: usize, reply: ServerReply, records: Vec<Record>) {
+        self.expires[attempt] = None;
+        let now_us = self.now_us();
+        let (server, mode, at_us) = {
+            let a = &self.machine.attempts()[attempt];
+            (a.server, a.mode, a.at_us)
+        };
         if let Some(audit) = &self.cluster.audit {
-            // Fold this live outcome into the audit plane. The summary
-            // verdict is recomputed here (explain hops may be off): a
-            // branch dispatch only happens because a summary matched, so
-            // an empty-handed branch reply is a live false positive.
-            if matches!(mode, ContactMode::Branch) {
+            // Fold this live outcome into the audit plane: a branch
+            // dispatch only happens because a summary matched, so an
+            // empty-handed branch reply is a live false positive.
+            if mode == ContactMode::Branch {
                 let level = self.cluster.net.tree().depth(server);
                 let spurious = records.is_empty()
-                    && targets.is_empty()
+                    && reply.targets.is_empty()
                     && self
                         .cluster
                         .net
@@ -1469,363 +1298,63 @@ impl Driver<'_> {
         if let Some(m) = &self.cluster.metrics {
             // Dispatch → reply wall time, attributed to the replier and
             // the contact mode it was serving.
-            let latency_ms =
-                (self.t0.elapsed().as_micros() as u64).saturating_sub(at_us) as f64 / 1_000.0;
+            let latency_ms = now_us.saturating_sub(at_us) as f64 / 1_000.0;
             m.dispatch_hist(mode).record(latency_ms);
             let si = &m.servers[server.index()];
             si.dispatch_ms.record(latency_ms);
             si.replies.inc();
         }
-        // A late reply (after timeout, racing a retry) still lands here and
-        // is merged below, guarded by `resolved`.
-        self.responders.insert(server);
-        // Any reply proves the server serviceable again, helper or not.
-        self.dead_helpers.remove(&server);
-        if matches!(mode, ContactMode::Entry) {
-            self.entry_served = true;
-        }
-        if self.rec.is_some() {
-            let now_us = self.t0.elapsed().as_micros() as u64;
-            self.emit(Event {
-                at_us,
-                dur_us: now_us.saturating_sub(at_us).max(1),
-                node: server.0,
-                trace: self.trace,
-                span,
-                parent,
-                kind: EventKind::QueryHop,
-                detail: records.len() as u64,
-            });
-        }
-        let standin = matches!(mode, ContactMode::Failover { .. });
-        if !standin && self.resolved.insert(server) {
-            // A reply proves the server serviceable: withdraw any earlier
-            // failure verdict from a timed-out attempt.
-            self.failed.remove(&server);
+        self.emit(Event {
+            at_us,
+            dur_us: now_us.saturating_sub(at_us).max(1),
+            node: server.0,
+            trace: self.trace,
+            span: self.spans[attempt],
+            parent: self.parent_span(attempt),
+            kind: EventKind::QueryHop,
+            detail: records.len() as u64,
+        });
+        let step = self.machine.reply(attempt, now_us, reply);
+        if step.fresh {
             self.records.extend(records);
         }
-        for (t, m) in targets {
-            if self.ledger.admit(t, m) {
-                let decision = match m {
-                    // A Branch redirect from the target's tree parent is
-                    // ordinary summary descent; from anyone else (the
-                    // entry's replica shortcuts, a failover stand-in) it
-                    // rode the replication overlay.
-                    ContactMode::Branch => {
-                        if self.cluster.net.tree().parent(t) == Some(server) {
-                            ExplainDecision::SummaryDescent
-                        } else {
-                            ExplainDecision::OverlayShortcut
-                        }
-                    }
-                    ContactMode::LocalOnly => ExplainDecision::AncestorProbe,
-                    ContactMode::Entry => ExplainDecision::Entry,
-                    ContactMode::Failover { .. } => ExplainDecision::Failover,
-                };
-                self.dispatch(t, m, span, Duration::ZERO, 0, replier_hop, decision);
-            }
-        }
+        self.send(step.dispatches);
     }
 
     /// An open attempt's dispatch timed out (`mailbox_closed = false`) or
-    /// its target's mailbox was found closed (`true`): retry if budget
-    /// remains, otherwise fail over. A closed mailbox means the thread
-    /// already exited — it cannot recover without [`RoadsCluster::
-    /// restart_server`], so the retry budget is skipped and failover
-    /// starts immediately.
-    fn attempt_failed(&mut self, attempt: u64, mailbox_closed: bool) {
-        let cfg = self.cluster.cfg;
-        let Some(a) = self.attempts.get_mut(&attempt) else {
-            return;
-        };
-        if !a.open {
+    /// its target's mailbox was found closed (`true`); the machine decides
+    /// between retry and failover.
+    fn on_failure(&mut self, attempt: usize, mailbox_closed: bool) {
+        if !self.machine.is_open(attempt) {
             return; // reply raced in first, or already expired
         }
-        a.open = false;
-        self.open -= 1;
-        let (server, mode, tries, span, at_us, parent) =
-            (a.server, a.mode, a.tries, a.span, a.at_us, a.parent);
-        let now_us = self.t0.elapsed().as_micros() as u64;
-        let failed_hop = self.attempt_hop.get(&attempt).copied();
-        if let Some(hops) = &mut self.explain_hops {
-            if let Some(hi) = failed_hop {
-                let h = &mut hops[hi];
-                h.outcome = if mailbox_closed {
-                    HopOutcome::MailboxDown
-                } else {
-                    HopOutcome::TimedOut
-                };
-                h.dur_us = now_us.saturating_sub(at_us) as f64;
-            }
-        }
+        self.expires[attempt] = None;
+        let now_us = self.now_us();
+        self.timed_out(attempt, now_us);
+        let next = if mailbox_closed {
+            self.machine.down(attempt, now_us)
+        } else {
+            self.machine.timeout(attempt, now_us)
+        };
+        self.send(next);
+    }
+
+    /// Count and record an attempt that ended without a reply.
+    fn timed_out(&self, attempt: usize, now_us: u64) {
         if let Some(m) = &self.cluster.metrics {
             m.dispatch_timeout.inc();
         }
+        let a = &self.machine.attempts()[attempt];
         self.emit(Event {
-            at_us,
-            dur_us: now_us.saturating_sub(at_us).max(1),
-            node: server.0,
+            at_us: a.at_us,
+            dur_us: now_us.saturating_sub(a.at_us).max(1),
+            node: a.server.0,
             trace: self.trace,
-            span,
-            parent,
+            span: self.spans[attempt],
+            parent: self.parent_span(attempt),
             kind: EventKind::DispatchTimeout,
-            detail: tries as u64,
+            detail: a.tries as u64,
         });
-        if !mailbox_closed && tries < cfg.max_retries {
-            self.retries += 1;
-            if let Some(m) = &self.cluster.metrics {
-                m.retries.inc();
-            }
-            self.emit(Event {
-                at_us: now_us,
-                dur_us: 0,
-                node: server.0,
-                trace: self.trace,
-                span,
-                parent,
-                kind: EventKind::Retry,
-                detail: (tries + 1) as u64,
-            });
-            // Retries bypass the visit ledger: same target, same mode.
-            // The new attempt nests under the timed-out one — inheriting
-            // the old attempt's *parent* would mint a second root span
-            // when the entry attempt itself (parent NONE) is retried.
-            self.dispatch(
-                server,
-                mode,
-                span,
-                backoff_delay(cfg.backoff_base_ms, tries),
-                tries + 1,
-                failed_hop,
-                ExplainDecision::Retry,
-            );
-            return;
-        }
-        self.give_up(server, mode, span, failed_hop);
-    }
-
-    /// Retries exhausted for `server` in `mode`: record the failure and
-    /// route around it through the replication overlay. `caused_by` is
-    /// the failed attempt's hop index, inherited by any failover hops.
-    fn give_up(
-        &mut self,
-        server: ServerId,
-        mode: ContactMode,
-        span: SpanId,
-        caused_by: Option<usize>,
-    ) {
-        match mode {
-            ContactMode::Failover { dead } => {
-                // The stand-in died too: remember it so failover for a
-                // *different* dead server cannot nominate it again, then
-                // advance to the next candidate.
-                self.dead_helpers.insert(server);
-                self.try_failover(dead, span, caused_by);
-            }
-            ContactMode::LocalOnly => {
-                // Only this server held the probed data; nothing replicates
-                // *records*, so there is nowhere to fail over to.
-                self.mark_failed(server, mode);
-            }
-            ContactMode::Branch => {
-                self.mark_failed(server, mode);
-                self.try_failover(server, span, caused_by);
-            }
-            ContactMode::Entry => {
-                self.mark_failed(server, mode);
-                // A dead entry needs both a replacement entry (to run the
-                // overlay evaluation for the rest of the hierarchy) and a
-                // stand-in for its own branch: the replacement's redirect
-                // targets include the dead server itself, but the ledger
-                // already holds it at Entry rank, so its children would
-                // otherwise be unreachable.
-                self.entry_failover(server, span, caused_by);
-                self.try_failover(server, span, caused_by);
-            }
-        }
-    }
-
-    fn mark_failed(&mut self, server: ServerId, mode: ContactMode) {
-        if self.resolved.contains(&server) {
-            return; // its data already arrived via an earlier attempt
-        }
-        // Keep the widest failed mode: completeness must account for the
-        // broadest responsibility this server was ever given.
-        let e = self.failed.entry(server).or_insert(mode);
-        if mode_rank(mode) > mode_rank(*e) {
-            *e = mode;
-        }
-    }
-
-    /// Dispatch the next viable overlay stand-in for `dead`'s branch.
-    fn try_failover(&mut self, dead: ServerId, parent_span: SpanId, caused_by: Option<usize>) {
-        if !self.cluster.cfg.enable_failover {
-            return;
-        }
-        let net = &self.cluster.net;
-        // A stand-in only forwards to the dead server's children; skip the
-        // whole exercise when no unresolved child branch can match.
-        let worth_it =
-            net.tree().children(dead).iter().any(|&c| {
-                net.branch_summary(c).may_match(self.query) && !self.resolved.contains(&c)
-            });
-        if !worth_it {
-            return;
-        }
-        let candidates = net.replica_set(dead).failover_candidates();
-        let mut pos = self.failover_pos.get(&dead).copied().unwrap_or(0);
-        while pos < candidates.len() {
-            let helper = candidates[pos];
-            pos += 1;
-            if self.failed.contains_key(&helper) || self.dead_helpers.contains(&helper) {
-                continue; // known dead — don't burn a timeout on it
-            }
-            let mode = ContactMode::Failover { dead };
-            if !self.ledger.admit(helper, mode) {
-                continue;
-            }
-            self.failover_pos.insert(dead, pos);
-            let id = self.dispatch(
-                helper,
-                mode,
-                parent_span,
-                Duration::ZERO,
-                0,
-                caused_by,
-                ExplainDecision::Failover,
-            );
-            if let Some(m) = &self.cluster.metrics {
-                m.failovers.inc();
-            }
-            let span = self.attempts[&id].span;
-            self.emit(Event {
-                at_us: self.t0.elapsed().as_micros() as u64,
-                dur_us: 0,
-                node: helper.0,
-                trace: self.trace,
-                span,
-                parent: parent_span,
-                kind: EventKind::Failover,
-                detail: dead.0 as u64,
-            });
-            return;
-        }
-        self.failover_pos.insert(dead, pos);
-        // Candidates exhausted: the subtree stays unavailable and
-        // `complete` reports it.
-    }
-
-    /// Nominate a replacement entry server after the original died.
-    fn entry_failover(&mut self, dead: ServerId, parent_span: SpanId, caused_by: Option<usize>) {
-        if !self.cluster.cfg.enable_failover {
-            return;
-        }
-        for helper in self.cluster.net.replica_set(dead).failover_candidates() {
-            if self.failed.contains_key(&helper)
-                || self.dead_helpers.contains(&helper)
-                || !self.ledger.admit(helper, ContactMode::Entry)
-            {
-                continue;
-            }
-            let id = self.dispatch(
-                helper,
-                ContactMode::Entry,
-                parent_span,
-                Duration::ZERO,
-                0,
-                caused_by,
-                ExplainDecision::Failover,
-            );
-            if let Some(m) = &self.cluster.metrics {
-                m.failovers.inc();
-            }
-            let span = self.attempts[&id].span;
-            self.emit(Event {
-                at_us: self.t0.elapsed().as_micros() as u64,
-                dur_us: 0,
-                node: helper.0,
-                trace: self.trace,
-                span,
-                parent: parent_span,
-                kind: EventKind::Failover,
-                detail: dead.0 as u64,
-            });
-            return;
-        }
-    }
-
-    /// The deadline cut this attempt off: record it, fail its target,
-    /// start nothing new.
-    fn close_at_deadline(&mut self, attempt: u64) {
-        let Some(a) = self.attempts.get_mut(&attempt) else {
-            return;
-        };
-        if !a.open {
-            return;
-        }
-        a.open = false;
-        self.open -= 1;
-        let (server, mode, tries, span, at_us, parent) =
-            (a.server, a.mode, a.tries, a.span, a.at_us, a.parent);
-        let now_us = self.t0.elapsed().as_micros() as u64;
-        if let Some(hops) = &mut self.explain_hops {
-            if let Some(&hi) = self.attempt_hop.get(&attempt) {
-                // Keep the Abandoned placeholder but stamp how long the
-                // hop had been in flight when the deadline cut it off.
-                hops[hi].dur_us = now_us.saturating_sub(at_us) as f64;
-            }
-        }
-        if let Some(m) = &self.cluster.metrics {
-            m.dispatch_timeout.inc();
-        }
-        self.emit(Event {
-            at_us,
-            dur_us: now_us.saturating_sub(at_us).max(1),
-            node: server.0,
-            trace: self.trace,
-            span,
-            parent,
-            kind: EventKind::DispatchTimeout,
-            detail: tries as u64,
-        });
-        if !matches!(mode, ContactMode::Failover { .. }) {
-            self.mark_failed(server, mode);
-        }
-    }
-
-    /// Truthful completeness: sound because summaries never produce false
-    /// negatives — `!may_match` proves absence, and every dispatched child
-    /// of a failed server ends the query either resolved or failed (with
-    /// its own entry in `failed` recursing this check).
-    ///
-    /// A failed *entry* additionally requires that some Entry-mode reply
-    /// landed (`entry_served`): the entry role covers the overlay
-    /// evaluation for the whole hierarchy — ancestor probes, replica
-    /// shortcuts — not just the dead server's local data and children. If
-    /// no replacement entry took over (failover disabled, or every
-    /// candidate dead), nothing ever examined the rest of the hierarchy
-    /// and completeness cannot be claimed.
-    fn completeness(&self) -> bool {
-        if self.deadline_hit {
-            return false;
-        }
-        let net = &self.cluster.net;
-        let children_covered = |s: ServerId| {
-            net.tree().children(s).iter().all(|&c| {
-                !net.branch_summary(c).may_match(self.query)
-                    || self.resolved.contains(&c)
-                    || self.failed.contains_key(&c)
-            })
-        };
-        self.failed.iter().all(|(&s, &mode)| {
-            let local_ok = !net.local_summary(s).may_match(self.query);
-            match mode {
-                ContactMode::LocalOnly => local_ok,
-                ContactMode::Branch => local_ok && children_covered(s),
-                ContactMode::Entry => self.entry_served && local_ok && children_covered(s),
-                ContactMode::Failover { .. } => true, // stand-ins hold no queried data
-            }
-        })
     }
 
     fn emit(&self, ev: Event) {
@@ -1872,48 +1401,11 @@ fn server_loop(
                 // (summary evaluation + search + emulated backend cost).
                 let queue_us = enqueued.elapsed().as_micros() as f64;
                 let work_t0 = Instant::now();
-                let (targets, do_local) = match mode {
-                    ContactMode::LocalOnly => (Vec::new(), true),
-                    ContactMode::Entry => {
-                        let ev = net.evaluate(id, &query, true);
-                        let mut t: Vec<(ServerId, ContactMode)> = ev
-                            .child_targets
-                            .iter()
-                            .map(|&c| (c, ContactMode::Branch))
-                            .collect();
-                        t.extend(ev.replica_targets.iter().map(|&r| (r, ContactMode::Branch)));
-                        t.extend(
-                            ev.ancestor_targets
-                                .iter()
-                                .map(|&a| (a, ContactMode::LocalOnly)),
-                        );
-                        (t, ev.local_match)
-                    }
-                    ContactMode::Branch => {
-                        let ev = net.evaluate(id, &query, false);
-                        let t = ev
-                            .child_targets
-                            .iter()
-                            .map(|&c| (c, ContactMode::Branch))
-                            .collect();
-                        (t, ev.local_match)
-                    }
-                    ContactMode::Failover { dead } => {
-                        // Stand in for the crashed server using its branch
-                        // summary replicated here (§III-C): forward to its
-                        // matching children, no local search — this
-                        // helper's own data is queried separately.
-                        let t = net
-                            .tree()
-                            .children(dead)
-                            .iter()
-                            .filter(|c| net.branch_summary(**c).may_match(&query))
-                            .map(|&c| (c, ContactMode::Branch))
-                            .collect();
-                        (t, false)
-                    }
-                };
-                let records: Vec<Record> = if do_local {
+                let Route {
+                    search_local,
+                    targets,
+                } = route(&net, id, &query, mode);
+                let records: Vec<Record> = if search_local {
                     let found = match &search_hist {
                         Some(h) => timed(h, || store.search(&query)),
                         None => store.search(&query),

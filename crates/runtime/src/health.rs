@@ -18,8 +18,8 @@
 //! dispatch p99 that `roads-inspect health` renders from a scrape and
 //! tests assert on directly.
 
-use crate::cluster::ContactMode;
 use parking_lot::Mutex;
+use roads_core::ContactMode;
 use roads_core::ServerId;
 use roads_telemetry::{labeled, Counter, Gauge, Histogram, Registry};
 use std::fmt;

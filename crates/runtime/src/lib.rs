@@ -19,12 +19,13 @@
 //!   matching servers **in parallel**.
 //! * [`central::CentralCluster`] — the single-server baseline: one round
 //!   trip, but serial retrieval of every matching record.
-//! * `faults` — the fault-tolerant query plane: a bounded dispatcher
-//!   pool delivers timed messages, per-dispatch timeouts trigger bounded
-//!   retry with exponential backoff, and dead branches are routed around
-//!   via the replication overlay (§III-C). [`cluster::RoadsCluster`]
-//!   exposes `kill_server`/`restart_server` for live fault injection and
-//!   reports `complete`/`failed_servers`/`retries` per query.
+//! * `faults` — a bounded dispatcher pool delivering timed messages for
+//!   the fault-tolerant query plane: per-dispatch timeouts feed
+//!   `roads_core::QueryMachine`, which retries with exponential backoff
+//!   and routes around dead branches via the replication overlay
+//!   (§III-C). [`cluster::RoadsCluster`] exposes
+//!   `kill_server`/`restart_server` for live fault injection and reports
+//!   `complete`/`failed_servers`/`retries` per query.
 //! * [`health`] — the live observability plane: an instrumented cluster
 //!   ([`RoadsCluster::start_instrumented`]) maintains per-server mailbox
 //!   queue-depth and liveness gauges, per-mode and per-server dispatch
@@ -67,9 +68,10 @@ pub use audit::{
     is_audit_doc, AuditConfig, AuditLevelRow, AuditMetrics, AuditReport, Auditor, Liveness,
 };
 pub use central::CentralCluster;
-pub use cluster::{ContactMode, RoadsCluster, RuntimeOutcome};
+pub use cluster::{RoadsCluster, RuntimeOutcome};
 pub use config::RuntimeConfig;
 pub use health::{ClusterHealth, FaultEvent, FaultKind, FaultLog, ServerHealth};
+pub use roads_core::ContactMode;
 pub use store::RecordStore;
 pub use watchdog::{
     is_incidents_doc, standard_bank, CauseKind, Incident, IncidentReport, MatchedFault, Probe,

@@ -1,9 +1,10 @@
 //! The background watchdog: online anomaly detection over the live
 //! cluster, correlated into incident timelines.
 //!
-//! A [`Watchdog`] mirrors the [`crate::audit::Auditor`] lifecycle — a
-//! condvar-paced thread, `tick_now` for deterministic tests, one final
-//! tick on shutdown, `stop()` returning the final [`IncidentReport`] —
+//! A [`Watchdog`] shares the [`crate::audit::Auditor`]'s
+//! `roads_telemetry::Periodic` lifecycle — a background tick thread,
+//! `tick_now` for deterministic tests, one final tick on shutdown,
+//! `stop()` returning the final [`IncidentReport`] —
 //! but instead of probing ground truth it watches the cluster's own
 //! telemetry. Each tick it:
 //!
@@ -40,12 +41,11 @@ use crate::health::{FaultKind, FaultLog};
 use roads_telemetry::BurnRateRule;
 use roads_telemetry::{
     labeled, Counter, DetectorBank, DetectorFiring, EwmaSpikeDetector, Gauge, Histogram, Json,
-    Registry, TailSampler, ThresholdRule,
+    Periodic, Registry, RetainedQuery, TailSampler, ThresholdRule, Tick,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
 /// Most slow-query ids correlated into a single incident.
@@ -565,11 +565,9 @@ struct WatchdogShared {
     probes: Vec<Probe>,
     t0: Instant,
     state: StdMutex<WatchdogState>,
-    cv: Condvar,
 }
 
 struct WatchdogState {
-    stop: bool,
     ticks: u64,
     bank: DetectorBank,
     /// Last raw counter values, for `Rate`/`Ratio` probes.
@@ -578,8 +576,9 @@ struct WatchdogState {
     /// value's bit pattern — ascending for non-negative floats), for
     /// `WindowP99` probes.
     hist_last: BTreeMap<String, BTreeMap<u64, u64>>,
-    /// Tail-sampler retained entries already correlated.
-    tail_seen: usize,
+    /// Retention sequence number of the last tail-sampler entry already
+    /// correlated.
+    tail_seen: u64,
     /// Fault-log onset indices whose detection latency is recorded.
     matched_onsets: BTreeSet<usize>,
     open: Vec<Incident>,
@@ -784,7 +783,9 @@ impl WatchdogShared {
         }
         inc
     }
+}
 
+impl Tick for WatchdogShared {
     fn tick(&self) {
         let now_ms = self.t0.elapsed().as_secs_f64() * 1e3;
         let mut st = self.state.lock().expect("watchdog state");
@@ -828,17 +829,19 @@ impl WatchdogShared {
         // Correlate newly retained slow-query explains into every open
         // incident (they overlap its window).
         if let Some(tail) = &self.tail {
-            let retained = tail.retained();
-            if retained.len() > st.tail_seen {
-                let seen = st.tail_seen;
-                for rq in &retained[seen..] {
-                    for inc in &mut st.open {
-                        if inc.slow_queries.len() < SLOW_QUERY_CAP {
-                            inc.slow_queries.push(rq.explain.query_id);
-                        }
+            let mut fresh: Vec<RetainedQuery> = tail
+                .retained()
+                .into_iter()
+                .filter(|rq| rq.seq > st.tail_seen)
+                .collect();
+            fresh.sort_by_key(|rq| rq.seq);
+            for rq in fresh {
+                for inc in &mut st.open {
+                    if inc.slow_queries.len() < SLOW_QUERY_CAP {
+                        inc.slow_queries.push(rq.explain.query_id);
                     }
                 }
-                st.tail_seen = retained.len();
+                st.tail_seen = rq.seq;
             }
         }
         // Close incidents idle past the coalescing gap.
@@ -862,7 +865,9 @@ impl WatchdogShared {
             }
         }
     }
+}
 
+impl WatchdogShared {
     fn report_locked(&self, st: &WatchdogState) -> IncidentReport {
         let mut rows: Vec<Incident> = st.closed.iter().chain(st.open.iter()).cloned().collect();
         rows.sort_by_key(|r| r.id);
@@ -898,8 +903,7 @@ fn placeholder() -> Incident {
 /// Either shutdown path runs one final tick first, so late faults are
 /// always evaluated.
 pub struct Watchdog {
-    shared: Arc<WatchdogShared>,
-    handle: Option<JoinHandle<()>>,
+    periodic: Periodic<WatchdogShared>,
 }
 
 impl Watchdog {
@@ -917,10 +921,6 @@ impl Watchdog {
         bank: DetectorBank,
         probes: Vec<Probe>,
     ) -> Self {
-        assert!(
-            !cfg.interval.is_zero(),
-            "watchdog interval must be positive"
-        );
         let interval = cfg.interval;
         let shared = Arc::new(WatchdogShared {
             registry,
@@ -931,7 +931,6 @@ impl Watchdog {
             probes,
             t0: Instant::now(),
             state: StdMutex::new(WatchdogState {
-                stop: false,
                 ticks: 0,
                 bank,
                 counters_last: BTreeMap::new(),
@@ -944,40 +943,9 @@ impl Watchdog {
                 firings: 0,
                 false_alarms: 0,
             }),
-            cv: Condvar::new(),
         });
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("roads-watchdog".into())
-            .spawn(move || {
-                let sh = thread_shared;
-                // First scheduled tick fires one full interval after
-                // start, matching the auditor: an immediate tick would
-                // skew manually driven schedules (tick_now with a long
-                // interval).
-                let mut next = Instant::now() + interval;
-                loop {
-                    let mut st = sh.state.lock().expect("watchdog state");
-                    while !st.stop && Instant::now() < next {
-                        let wait = next.saturating_duration_since(Instant::now());
-                        let (guard, _) = sh.cv.wait_timeout(st, wait).expect("watchdog state");
-                        st = guard;
-                    }
-                    let stopping = st.stop;
-                    drop(st);
-                    // One final tick on shutdown: faults injected since
-                    // the last scheduled tick must reach the report.
-                    sh.tick();
-                    if stopping {
-                        return;
-                    }
-                    next += interval;
-                }
-            })
-            .expect("spawn watchdog thread");
         Watchdog {
-            shared,
-            handle: Some(handle),
+            periodic: Periodic::start("roads-watchdog", shared, interval),
         }
     }
 
@@ -1001,48 +969,33 @@ impl Watchdog {
     /// Run one detection tick right now, outside the schedule
     /// (deterministic tests).
     pub fn tick_now(&self) {
-        self.shared.tick();
+        self.periodic.tick_now();
     }
 
     /// The pre-resolved `roads.watchdog.*` instruments.
     pub fn metrics(&self) -> Arc<WatchdogMetrics> {
-        Arc::clone(&self.shared.metrics)
+        Arc::clone(&self.periodic.work().metrics)
     }
 
     /// The report accumulated so far.
     pub fn report(&self) -> IncidentReport {
-        let st = self.shared.state.lock().expect("watchdog state");
-        self.shared.report_locked(&st)
+        let shared = self.periodic.work();
+        let st = shared.state.lock().expect("watchdog state");
+        shared.report_locked(&st)
     }
 
     /// Stop the background thread and return the final report (written
     /// to [`WatchdogConfig::report_path`] as well, when configured).
     pub fn stop(mut self) -> IncidentReport {
-        self.shutdown();
-        let report = {
-            let st = self.shared.state.lock().expect("watchdog state");
-            self.shared.report_locked(&st)
-        };
-        if let Some(path) = &self.shared.cfg.report_path {
+        self.periodic.stop();
+        let report = self.report();
+        let shared = self.periodic.work();
+        if let Some(path) = &shared.cfg.report_path {
             if report.write(path).is_ok() {
-                self.shared.metrics.reports.inc();
+                shared.metrics.reports.inc();
             }
         }
         report
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.shared.state.lock().expect("watchdog state").stop = true;
-            self.shared.cv.notify_all();
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -1253,6 +1206,59 @@ mod tests {
         let report = wd.stop();
         assert_eq!(report.rows.len(), 1);
         assert!(report.rows[0].firings >= 2);
+    }
+
+    #[test]
+    fn slow_queries_keep_linking_after_the_tail_reservoir_fills() {
+        use roads_telemetry::{QueryExplain, TailConfig};
+        // Regression: the watchdog tracked a position in the reservoir,
+        // whose length stops growing at capacity, so no slow query
+        // retained after it filled ever reached an incident.
+        let reg = Arc::new(Registry::new());
+        let series = labeled("runtime.server.alive", &[("server", "0")]);
+        let alive = reg.gauge(&series);
+        alive.set(1);
+        let log = Arc::new(FaultLog::new());
+        let mut bank = DetectorBank::new();
+        bank.bind(&series, ThresholdRule::below("server-down", 0.5, 1));
+        let tail = Arc::new(TailSampler::new(TailConfig {
+            capacity: 2,
+            min_samples: u64::MAX,
+            floor_ms: 1.0,
+        }));
+        let wd = Watchdog::start(
+            Arc::clone(&reg),
+            Arc::clone(&log),
+            Some(Arc::clone(&tail)),
+            Arc::new(WatchdogMetrics::new(&reg, &bank.detector_names())),
+            WatchdogConfig {
+                interval: Duration::from_secs(3600),
+                ..WatchdogConfig::default()
+            },
+            bank,
+            vec![Probe::Value(series)],
+        );
+        let slow = |query_id: u64, ms: f64| {
+            let explain = QueryExplain {
+                query_id,
+                response_us: ms * 1_000.0,
+                complete: true,
+                ..QueryExplain::default()
+            };
+            tail.observe(explain, false, Vec::new())
+        };
+        slow(1, 10.0);
+        slow(2, 20.0);
+        wd.tick_now(); // the full reservoir is seen before any incident
+        alive.set(0);
+        log.record(ServerId(0), FaultKind::Kill, 1.0);
+        wd.tick_now(); // the incident opens
+        assert!(slow(3, 30.0).is_some(), "evicts query 1 to make room");
+        assert_eq!(tail.retained().len(), 2);
+        wd.tick_now();
+        let report = wd.stop();
+        assert_eq!(report.rows.len(), 1);
+        assert_eq!(report.rows[0].slow_queries, vec![3]);
     }
 
     #[test]

@@ -711,10 +711,13 @@ proptest! {
     /// Whatever subset of servers is killed, `query_as` terminates within
     /// the deadline, returns each surviving record at most once, never
     /// blames a live server, and claims completeness exactly when it holds.
+    /// A random partial-range query, which dead servers may not touch,
+    /// must equal the exact answer whenever it claims completeness.
     #[test]
     fn query_terminates_under_arbitrary_kill_schedules(
         n in 5usize..16,
         kills in prop::collection::vec(0usize..64, 0..5),
+        (lo, width) in (0.0f64..1.0, 0.0f64..0.5),
     ) {
         // A generous per-dispatch timeout keeps live-server false
         // positives out of the schedule even on loaded CI machines.
@@ -753,6 +756,32 @@ proptest! {
             prop_assert!(!out.complete);
             prop_assert!(ids.len() <= (n - killed.len()) * RECORDS_PER_SERVER);
         }
+
+        let partial = QueryBuilder::new(c.network().schema(), QueryId(2))
+            .range("x0", lo, lo + width)
+            .build();
+        let out = c.query(&partial, start);
+        let ids = unique_ids(&out);
+        let exact = exact_answer(c.network(), &partial);
+        prop_assert!(ids.iter().all(|id| exact.contains(id)), "record outside the answer");
+        if out.complete {
+            prop_assert_eq!(&ids, &exact, "complete result must be the exact answer");
+        }
+        for f in &out.failed_servers {
+            prop_assert!(killed.contains(f), "blamed live server {f:?}");
+        }
         c.shutdown();
     }
+}
+
+/// Brute force over every server's records, dead or alive: the ids of
+/// the records matching `q`, sorted.
+fn exact_answer(net: &RoadsNetwork, q: &Query) -> Vec<u64> {
+    let mut ids: Vec<u64> = (0..net.len() as u32)
+        .flat_map(|s| net.records(ServerId(s)))
+        .filter(|r| q.matches(r))
+        .map(|r| r.id.0)
+        .collect();
+    ids.sort_unstable();
+    ids
 }

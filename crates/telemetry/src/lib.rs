@@ -32,6 +32,9 @@
 //!   [`Registry`] snapshot (deterministic ordering, label escaping, full
 //!   histogram buckets), a parser for scrape files, and a background
 //!   [`Sampler`] thread feeding a bounded [`Timeline`] ring.
+//! * [`periodic`] — the one background tick-loop lifecycle shared by the
+//!   sampler, auditor and watchdog: scheduled ticks, `tick_now`, and a
+//!   final tick on stop.
 //! * [`explain`] — per-query provenance: a [`QueryExplain`] record built
 //!   along the query path, one hop per contact attempt with its routing
 //!   decision, summary kind, outcome and latency split, folded into a
@@ -54,6 +57,7 @@ pub mod explain;
 pub mod export;
 pub mod json;
 pub mod openmetrics;
+pub mod periodic;
 pub mod registry;
 pub mod span;
 pub mod stats;
@@ -77,6 +81,7 @@ pub use openmetrics::{
     labeled, parse as parse_openmetrics, OpenMetricsSnapshot, Sampler, Scrape, ScrapeFamily,
     ScrapeSample,
 };
+pub use periodic::{Periodic, Tick};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use span::SpanTimer;
 pub use stats::LatencyStats;

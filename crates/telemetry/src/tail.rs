@@ -82,6 +82,10 @@ impl Default for TailConfig {
 /// One retained tail query.
 #[derive(Debug, Clone)]
 pub struct RetainedQuery {
+    /// Retention sequence number: 1 for the sampler's first retention,
+    /// increasing by one per retention and never reused, so a reader can
+    /// tell new entries apart even after eviction reorders the reservoir.
+    pub seq: u64,
     /// Why it was kept.
     pub reason: RetainReason,
     /// The full provenance record.
@@ -99,6 +103,8 @@ struct TailState {
     exemplars: BTreeMap<u64, u64>,
     observed: u64,
     dropped: u64,
+    /// Retentions so far (the last [`RetainedQuery::seq`] handed out).
+    retentions: u64,
 }
 
 /// The tail-based sampling reservoir. Thread-safe; share via `Arc`.
@@ -191,7 +197,10 @@ impl TailSampler {
             let edge = Histogram::bucket_edge(response_ms);
             g.exemplars.insert(edge.to_bits(), explain.trace_id);
         }
+        g.retentions += 1;
+        let seq = g.retentions;
         g.retained.push(RetainedQuery {
+            seq,
             reason,
             explain,
             events,

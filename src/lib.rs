@@ -79,9 +79,8 @@ pub use roads_workload as workload;
 /// Everything a typical application needs, in one import.
 pub mod prelude {
     pub use roads_core::{
-        execute_query, execute_query_mode, replication_set, update_round, ForwardingMode,
-        HierarchyTree, LatencyStats, QueryOutcome, RoadsConfig, RoadsNetwork, SearchScope,
-        ServerId,
+        execute_query, replication_set, update_round, HierarchyTree, LatencyStats, QueryOutcome,
+        RoadsConfig, RoadsNetwork, SearchScope, ServerId,
     };
     pub use roads_netsim::{DelaySpace, DelaySpaceConfig, SimTime};
     pub use roads_records::{
