@@ -33,8 +33,7 @@ use roads_runtime::{
     CauseKind, IncidentReport, RoadsCluster, RuntimeConfig, Watchdog, WatchdogConfig,
 };
 use roads_summary::SummaryConfig;
-use roads_telemetry::FigureExport;
-use roads_telemetry::Registry;
+use roads_telemetry::{write_chrome_trace_default, FigureExport, Recorder, Registry};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -110,9 +109,13 @@ struct CellOutcome {
     rounds: usize,
 }
 
-/// Run one sweep cell: warm up healthy, inject the fault, drive
-/// query+tick rounds until every victim is named, recover, stop.
-fn run_cell(n: usize, interval: Duration, fault: Fault, label: &str) -> CellOutcome {
+/// An instrumented cluster recording into `rec`, watched every
+/// `interval` through its own registry.
+fn start_cluster(
+    n: usize,
+    interval: Duration,
+    rec: &Arc<Recorder>,
+) -> (RoadsCluster, Watchdog, Arc<Registry>) {
     let runtime_cfg = RuntimeConfig {
         dispatch_timeout_ms: 200,
         max_retries: 1,
@@ -124,8 +127,9 @@ fn run_cell(n: usize, interval: Duration, fault: Fault, label: &str) -> CellOutc
         ..RuntimeConfig::paper_like()
     };
     let reg = Arc::new(Registry::new());
-    let cluster =
+    let mut cluster =
         RoadsCluster::start_instrumented(build_net(n), DelaySpace::paper(n, 31), runtime_cfg, &reg);
+    cluster.set_recorder(Arc::clone(rec));
     let watchdog = Watchdog::for_cluster(
         &cluster,
         &reg,
@@ -134,6 +138,19 @@ fn run_cell(n: usize, interval: Duration, fault: Fault, label: &str) -> CellOutc
             ..WatchdogConfig::default()
         },
     );
+    (cluster, watchdog, reg)
+}
+
+/// Run one sweep cell: warm up healthy, inject the fault, drive
+/// query+tick rounds until every victim is named, recover, stop.
+fn run_cell(
+    n: usize,
+    interval: Duration,
+    fault: Fault,
+    label: &str,
+    rec: &Arc<Recorder>,
+) -> CellOutcome {
+    let (cluster, watchdog, _) = start_cluster(n, interval, rec);
     let root = cluster.network().tree().root();
     let full = QueryBuilder::new(cluster.network().schema(), QueryId(19_000))
         .range("x0", 0.0, 1.0)
@@ -232,28 +249,13 @@ fn run_cell(n: usize, interval: Duration, fault: Fault, label: &str) -> CellOutc
 
 /// Fault-free control: same cluster, same detectors, no injection —
 /// the watchdog must stay silent.
-fn run_control(n: usize, interval: Duration, ticks: usize) -> (IncidentReport, Arc<Registry>) {
-    let runtime_cfg = RuntimeConfig {
-        dispatch_timeout_ms: 200,
-        max_retries: 1,
-        backoff_base_ms: 5,
-        query_deadline_ms: 20_000,
-        delay_scale: 0.03,
-        per_record_retrieval_us: 100,
-        base_query_cost_us: 300,
-        ..RuntimeConfig::paper_like()
-    };
-    let reg = Arc::new(Registry::new());
-    let cluster =
-        RoadsCluster::start_instrumented(build_net(n), DelaySpace::paper(n, 31), runtime_cfg, &reg);
-    let watchdog = Watchdog::for_cluster(
-        &cluster,
-        &reg,
-        WatchdogConfig {
-            interval,
-            ..WatchdogConfig::default()
-        },
-    );
+fn run_control(
+    n: usize,
+    interval: Duration,
+    ticks: usize,
+    rec: &Arc<Recorder>,
+) -> (IncidentReport, Arc<Registry>) {
+    let (cluster, watchdog, reg) = start_cluster(n, interval, rec);
     let root = cluster.network().tree().root();
     let full = QueryBuilder::new(cluster.network().schema(), QueryId(19_500))
         .range("x0", 0.0, 1.0)
@@ -296,6 +298,9 @@ fn main() {
         "detection latency (ms)",
     );
 
+    // One flight recorder across every cell and the control run; its
+    // ring keeps the most recent query spans for the trace export.
+    let rec = Arc::new(Recorder::new(65_536));
     println!(
         "{:>10} {:>9} {:>7} {:>10} {:>8} {:>8} {:>12}",
         "fault", "severity", "rounds", "incidents", "matched", "firings", "latency(ms)"
@@ -306,7 +311,7 @@ fn main() {
     let mut slow_inc: Vec<(f64, f64)> = Vec::new();
     for &k in kill_counts {
         let label = format!("kill k={k}");
-        let cell = run_cell(n, interval, Fault::Kill(k), &label);
+        let cell = run_cell(n, interval, Fault::Kill(k), &label, &rec);
         let lat = cell.report.max_detection_latency_ms().unwrap_or(0.0);
         println!(
             "{:>10} {:>9} {:>7} {:>10} {:>8} {:>8} {:>12.0}",
@@ -323,7 +328,7 @@ fn main() {
     }
     for &f in slow_factors {
         let label = format!("slow x{f}");
-        let cell = run_cell(n, interval, Fault::Slow(f), &label);
+        let cell = run_cell(n, interval, Fault::Slow(f), &label, &rec);
         let lat = cell.report.max_detection_latency_ms().unwrap_or(0.0);
         println!(
             "{:>10} {:>9} {:>7} {:>10} {:>8} {:>8} {:>12.0}",
@@ -340,7 +345,7 @@ fn main() {
     }
 
     // Fault-free control: silence is the assertion.
-    let (control, control_reg) = run_control(n, interval, 12);
+    let (control, control_reg) = run_control(n, interval, 12, &rec);
     assert_eq!(
         control.firings, 0,
         "control run must not trip any detector (got {} firings)",
@@ -377,7 +382,9 @@ fn main() {
         interval.as_millis()
     ));
     fig.push_note("fault-free control run produced zero firings and zero incidents");
+    fig.push_note("trace: query spans of the most recent cells and the control run");
     fig.write_default();
+    write_chrome_trace_default(&fig.figure, &rec);
     // Digest covers the control run's cluster + watchdog registry.
     roads_bench::suite::print_metrics_digest(&control_reg.snapshot());
 }

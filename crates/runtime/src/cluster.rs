@@ -11,19 +11,21 @@
 //!
 //! # Fault model
 //!
-//! Message delivery runs on a bounded dispatcher pool
-//! ([`crate::faults::Dispatcher`]) instead of one helper thread per
-//! contacted server. Every dispatched sub-query carries a per-dispatch
-//! timeout; expiry triggers bounded retry with exponential backoff, then
-//! replica-overlay failover (a mailbox found already closed skips the
-//! retry budget — the thread is gone until restarted — and fails over
-//! immediately): a sibling or ancestor holding the dead
-//! server's branch summary (§III-C) stands in and forwards the sub-query
-//! to the dead server's children. A per-query deadline bounds the whole
-//! operation, and [`RuntimeOutcome::complete`] reports truthfully whether
-//! anything may be missing. Threads can be torn down and respawned live
-//! via [`RoadsCluster::kill_server`] / [`RoadsCluster::restart_server`]
-//! for fault injection.
+//! Message delivery has two tiers ([`crate::faults`]) and no worker
+//! pool: a zero-delay message goes straight from the sender's thread
+//! into the receiver's channel (client → server mailbox → client), and a
+//! delayed one (link delay, retry backoff, stragglers) is fired by the
+//! one timer thread when it matures. Every dispatched sub-query carries
+//! a per-dispatch timeout; expiry triggers bounded retry with
+//! exponential backoff, then replica-overlay failover (a mailbox found
+//! already closed skips the retry budget — the thread is gone until
+//! restarted — and fails over immediately): a sibling or ancestor
+//! holding the dead server's branch summary (§III-C) stands in and
+//! forwards the sub-query to the dead server's children. A per-query
+//! deadline bounds the whole operation, and [`RuntimeOutcome::complete`]
+//! reports truthfully whether anything may be missing. Threads can be
+//! torn down and respawned live via [`RoadsCluster::kill_server`] /
+//! [`RoadsCluster::restart_server`] for fault injection.
 //!
 //! # Concurrency
 //!
@@ -33,7 +35,7 @@
 //! so outcomes — `retries`, `failed_servers`, `servers_contacted`,
 //! recorder events — are attributed to exactly the query that caused
 //! them, never pooled across in-flight queries. The shared pieces (the
-//! dispatcher pool, server mailboxes) are multi-producer by construction.
+//! timer thread, server mailboxes) are multi-producer by construction.
 //! Admission is bounded by [`RuntimeConfig::max_inflight_queries`]; the
 //! `runtime.inflight_queries` gauge tracks the live count on instrumented
 //! clusters.
@@ -62,7 +64,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Counting admission gate bounding concurrent queries over the shared
-/// dispatcher (`max = 0` ⇒ unbounded). Each query holds one slot for its
+/// servers (`max = 0` ⇒ unbounded). Each query holds one slot for its
 /// whole lifetime; acquisition blocks — queries queue at the door instead
 /// of piling unbounded work onto every server mailbox.
 struct InflightGate {
@@ -128,18 +130,19 @@ impl Drop for InflightSlot<'_> {
 
 pub(crate) enum ServerRequest {
     Query {
-        query: Query,
+        /// Shared by every contact of one query execution.
+        query: Arc<Query>,
         mode: ContactMode,
         requester: RequesterId,
         reply: ReplyHandle,
-        /// Stamped by the dispatcher at mailbox delivery; the server's
-        /// pickup-time elapsed reading is the request's queue wait.
+        /// Stamped at mailbox delivery; the server's pickup-time elapsed
+        /// reading is the request's queue wait.
         enqueued: Instant,
     },
     Shutdown,
 }
 
-/// What the dispatcher reports back to a querying client.
+/// What delivery reports back to a querying client.
 pub(crate) enum Notice {
     /// A server's reply landed (after the return delay).
     Reply {
@@ -159,7 +162,7 @@ pub(crate) enum Notice {
 }
 
 /// One-shot reply path handed to a server with each request. Replying
-/// schedules delivery after the return delay on the dispatcher; dropping
+/// delivers after the return delay (inline when it is zero); dropping
 /// it (server killed or panicked mid-request) sends nothing, which the
 /// client turns into a timeout instead of a hang.
 pub(crate) struct ReplyHandle {
@@ -199,7 +202,7 @@ impl ReplyHandle {
     }
 }
 
-/// A unit of timed work on the dispatcher pool.
+/// One message delivery, run inline or by the timer thread.
 pub(crate) enum DispatchJob {
     /// Deliver a request to a server's mailbox; a closed mailbox is
     /// reported straight back as [`Notice::Down`].
@@ -208,10 +211,10 @@ pub(crate) enum DispatchJob {
         request: ServerRequest,
         done: Sender<Notice>,
         attempt: usize,
-        /// The target's `runtime.server.queue_depth` gauge, bumped on a
-        /// successful delivery (the server thread decrements on pickup).
-        /// The vendored channel has no `len()`, so depth is maintained
-        /// explicitly at the two endpoints.
+        /// The target's `runtime.server.queue_depth` gauge, bumped for a
+        /// delivery (the server thread decrements on pickup). The vendored
+        /// channel has no `len()`, so depth is maintained explicitly at the
+        /// two endpoints.
         queue: Option<Arc<Gauge>>,
     },
     /// Deliver a notice to the querying client.
@@ -238,10 +241,16 @@ impl DispatchJob {
                 if let ServerRequest::Query { enqueued, .. } = &mut request {
                     *enqueued = Instant::now();
                 }
-                if sender.send(request).is_err() {
-                    let _ = done.send(Notice::Down { attempt });
-                } else if let Some(q) = queue {
+                // Count the request before the server can pick it up and
+                // decrement, so the gauge never reads negative.
+                if let Some(q) = &queue {
                     q.add(1);
+                }
+                if sender.send(request).is_err() {
+                    if let Some(q) = &queue {
+                        q.add(-1);
+                    }
+                    let _ = done.send(Notice::Down { attempt });
                 }
             }
             DispatchJob::Notify { done, notice } => {
@@ -426,7 +435,7 @@ impl RoadsCluster {
                 ))
             })
             .collect();
-        let dispatcher = Dispatcher::start(cfg.dispatcher_threads);
+        let dispatcher = Dispatcher::start();
         let live_board = Arc::new(
             (0..net.len())
                 .map(|_| AtomicBool::new(true))
@@ -945,13 +954,14 @@ fn spawn_server(
 }
 
 /// The live driver of one query: carries out the [`QueryMachine`]'s
-/// dispatches over the dispatcher and server mailboxes, runs the
-/// per-dispatch timers and the query deadline, and keeps the metrics,
-/// flight-recorder events and merged records. Every protocol decision is
-/// the machine's.
+/// dispatches over the server mailboxes, runs the per-dispatch timers and
+/// the query deadline, and keeps the metrics, flight-recorder events and
+/// merged records. Every protocol decision is the machine's.
 struct Driver<'a> {
     cluster: &'a RoadsCluster,
     query: &'a Query,
+    /// The copy every request of this execution shares.
+    shared: Arc<Query>,
     requester: RequesterId,
     start: ServerId,
     t0: Instant,
@@ -986,6 +996,7 @@ impl<'a> Driver<'a> {
         Driver {
             cluster,
             query,
+            shared: Arc::new(query.clone()),
             requester,
             start,
             t0,
@@ -1252,7 +1263,7 @@ impl<'a> Driver<'a> {
                 DispatchJob::Send {
                     sender,
                     request: ServerRequest::Query {
-                        query: self.query.clone(),
+                        query: Arc::clone(&self.shared),
                         mode: d.mode,
                         requester: self.requester,
                         reply,

@@ -26,8 +26,8 @@ pub struct RuntimeConfig {
     /// indefinitely — only use 0 in controlled experiments).
     pub query_deadline_ms: u64,
     /// Per-dispatch timeout in milliseconds, measured at the client from
-    /// handing the sub-query to the dispatcher until its reply lands (so it
-    /// must cover both one-way delays plus the server's retrieval time).
+    /// sending the sub-query until its reply lands (so it must cover both
+    /// one-way delays plus the server's retrieval time).
     /// On expiry the dispatch is retried and eventually failed over.
     /// `0` disables per-dispatch timeouts.
     pub dispatch_timeout_ms: u64,
@@ -37,15 +37,12 @@ pub struct RuntimeConfig {
     /// Backoff before retry `k` (1-based): `backoff_base_ms << (k - 1)`
     /// milliseconds, i.e. exponential doubling from this base.
     pub backoff_base_ms: u64,
-    /// Worker threads in the bounded dispatcher pool that executes timed
-    /// message deliveries (requests out, replies back). Clamped to ≥ 1.
-    pub dispatcher_threads: usize,
     /// Route around dead `Branch` servers via the replication overlay
     /// (§III-C): re-dispatch the subtree query through a sibling replica.
     /// Disable to measure the availability the overlay buys (fig13).
     pub enable_failover: bool,
     /// Maximum queries in flight at once across all client threads. The
-    /// shared dispatcher pool and per-server mailboxes are safe at any
+    /// shared timer thread and per-server mailboxes are safe at any
     /// concurrency, but unbounded admission lets a burst of clients queue
     /// arbitrary work behind every mailbox; past this limit `query_as`
     /// blocks until a slot frees. `0` disables admission control.
@@ -81,7 +78,6 @@ impl RuntimeConfig {
             dispatch_timeout_ms: 10_000,
             max_retries: 2,
             backoff_base_ms: 100,
-            dispatcher_threads: 4,
             enable_failover: true,
             max_inflight_queries: 64,
             slo_response_ms: 10_000,
@@ -102,7 +98,6 @@ impl RuntimeConfig {
             dispatch_timeout_ms: 2_000,
             max_retries: 2,
             backoff_base_ms: 10,
-            dispatcher_threads: 2,
             enable_failover: true,
             max_inflight_queries: 16,
             slo_response_ms: 5_000,
@@ -168,7 +163,6 @@ mod tests {
             assert!(cfg.query_deadline_ms > 0, "deadline must be on by default");
             assert!(cfg.dispatch_timeout_ms > 0);
             assert!(cfg.dispatch_timeout_ms < cfg.query_deadline_ms);
-            assert!(cfg.dispatcher_threads >= 1);
             assert!(cfg.enable_failover);
             assert!(
                 cfg.max_inflight_queries >= 1,

@@ -1,21 +1,26 @@
-//! Timed message delivery for the live query plane.
+//! Message delivery for the live query plane.
 //!
-//! [`Dispatcher`] — a timer thread plus a bounded worker pool that
-//! delivers timed messages (requests after the outbound delay, replies
-//! after the return delay, retries after backoff) for
-//! [`crate::cluster::RoadsCluster`]. However wide a query fans out, the
-//! cluster runs a fixed number of dispatcher threads. Retry, dedup and
+//! Every message of [`crate::cluster::RoadsCluster`] — a request out, a
+//! reply back, a retry — goes through [`DispatchHandle::schedule_after`],
+//! which delivers in one of two tiers:
+//!
+//! - **Zero delay: inline.** The job runs at once on the caller's thread:
+//!   the client's for requests, the server's for replies. Each job is a
+//!   non-blocking send on an unbounded channel, so running it inline
+//!   cannot stall the caller.
+//! - **Positive delay: timer.** Emulated link delay, retry backoff and
+//!   straggler stretch queue the job on the [`Dispatcher`]'s timer
+//!   thread, which runs it itself when it matures.
+//!
+//! Both tiers run the same [`DispatchJob::run`]. Retry, dedup and
 //! failover decisions belong to `roads_core::QueryMachine`.
 
 use crate::cluster::DispatchJob;
-use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::collections::BTreeMap;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 
 enum TimerCmd {
     /// Run `job` no earlier than the given instant.
@@ -24,123 +29,69 @@ enum TimerCmd {
 }
 
 /// Cloneable handle for scheduling work on a [`Dispatcher`]; held by the
-/// cluster and embedded in every in-flight reply path. Sends after the
-/// dispatcher shut down are silently dropped (the cluster is going away).
+/// cluster and embedded in every in-flight reply path. Delayed jobs
+/// scheduled after the dispatcher shut down are silently dropped (the
+/// cluster is going away).
 #[derive(Clone)]
 pub(crate) struct DispatchHandle {
     cmd_tx: Sender<TimerCmd>,
 }
 
 impl DispatchHandle {
-    /// Schedule `job` to run at `due`.
-    pub(crate) fn schedule(&self, due: Instant, job: DispatchJob) {
-        let _ = self.cmd_tx.send(TimerCmd::Schedule(due, job));
-    }
-
-    /// Schedule `job` after `delay` from now.
+    /// Run `job` after `delay` from now: on this thread before returning
+    /// when `delay` is zero, else on the timer thread.
     pub(crate) fn schedule_after(&self, delay: Duration, job: DispatchJob) {
-        self.schedule(Instant::now() + delay, job);
+        if delay.is_zero() {
+            job.run();
+        } else {
+            let _ = self
+                .cmd_tx
+                .send(TimerCmd::Schedule(Instant::now() + delay, job));
+        }
     }
 }
 
-/// Heap entry ordered by due time, FIFO within a tick.
-struct Timed {
-    due: Instant,
-    seq: u64,
-    job: DispatchJob,
-}
-
-impl PartialEq for Timed {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for Timed {}
-impl PartialOrd for Timed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Timed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-/// Timer thread + bounded worker pool executing timed [`DispatchJob`]s.
+/// The timer thread running delayed [`DispatchJob`]s in due order.
 pub(crate) struct Dispatcher {
     handle: DispatchHandle,
     timer: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Dispatcher {
-    /// Start the timer thread and `workers.max(1)` pool workers.
-    pub(crate) fn start(workers: usize) -> Self {
+    /// Start the timer thread.
+    pub(crate) fn start() -> Self {
         let (cmd_tx, cmd_rx) = unbounded::<TimerCmd>();
-        let (job_tx, job_rx) = unbounded::<DispatchJob>();
         let timer = thread::Builder::new()
             .name("roads-dispatch-timer".into())
             .spawn(move || {
-                let mut heap: BinaryHeap<Reverse<Timed>> = BinaryHeap::new();
+                // Keyed by due time, then arrival: FIFO within a tick.
+                let mut pending: BTreeMap<(Instant, u64), DispatchJob> = BTreeMap::new();
                 let mut seq = 0u64;
                 loop {
                     // Fire everything that has matured.
                     let now = Instant::now();
-                    while heap.peek().is_some_and(|Reverse(t)| t.due <= now) {
-                        let Reverse(t) = heap.pop().expect("peeked");
-                        let _ = job_tx.send(t.job);
+                    while let Some(job) = pending.first_entry().filter(|e| e.key().0 <= now) {
+                        job.remove().run();
                     }
-                    // Sleep until the next job matures or a command lands.
-                    let cmd = match heap.peek() {
-                        Some(Reverse(next)) => {
-                            let wait = next.due.saturating_duration_since(Instant::now());
-                            match cmd_rx.recv_timeout(wait) {
-                                Ok(cmd) => cmd,
-                                Err(RecvTimeoutError::Timeout) => continue,
-                                Err(RecvTimeoutError::Disconnected) => break,
-                            }
-                        }
-                        None => match cmd_rx.recv() {
-                            Ok(cmd) => cmd,
-                            Err(_) => break,
-                        },
-                    };
-                    match cmd {
-                        TimerCmd::Schedule(due, job) => {
-                            heap.push(Reverse(Timed { due, seq, job }));
+                    // Sleep until the next job matures or a command lands
+                    // (an overflowing timeout waits indefinitely).
+                    let wait = pending.keys().next().map_or(Duration::MAX, |&(next, _)| {
+                        next.saturating_duration_since(Instant::now())
+                    });
+                    match cmd_rx.recv_timeout(wait) {
+                        Ok(TimerCmd::Schedule(due, job)) => {
+                            pending.insert((due, seq), job);
                             seq += 1;
                         }
-                        TimerCmd::Shutdown => break,
+                        Ok(TimerCmd::Shutdown) | Err(RecvTimeoutError::Disconnected) => break,
+                        Err(RecvTimeoutError::Timeout) => {}
                     }
                 }
-                // job_tx drops here; idle workers drain and exit.
             })
             .expect("spawn dispatch timer");
-        // The channel receiver is single-consumer; workers share it behind
-        // a mutex, each blocking in recv() while holding it — the lock is
-        // released between dequeue and job execution, so jobs still spread
-        // across the pool.
-        let job_rx: Arc<Mutex<Receiver<DispatchJob>>> = Arc::new(Mutex::new(job_rx));
-        let workers = (0..workers.max(1))
-            .map(|i| {
-                let job_rx = Arc::clone(&job_rx);
-                thread::Builder::new()
-                    .name(format!("roads-dispatch-{i}"))
-                    .spawn(move || loop {
-                        let job = job_rx.lock().recv();
-                        match job {
-                            Ok(job) => job.run(),
-                            Err(_) => break,
-                        }
-                    })
-                    .expect("spawn dispatch worker")
-            })
-            .collect();
         Dispatcher {
             handle: DispatchHandle { cmd_tx },
             timer: Some(timer),
-            workers,
         }
     }
 
@@ -149,15 +100,11 @@ impl Dispatcher {
         &self.handle
     }
 
-    /// Stop the timer and drain the pool. Jobs not yet matured are
-    /// discarded; jobs already handed to workers finish.
+    /// Stop the timer thread. Delayed jobs not yet matured are discarded.
     pub(crate) fn shutdown(&mut self) {
         let _ = self.handle.cmd_tx.send(TimerCmd::Shutdown);
         if let Some(t) = self.timer.take() {
             let _ = t.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 }
@@ -171,41 +118,64 @@ impl Drop for Dispatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel::Receiver;
     use parking_lot::Mutex;
     use std::sync::Arc;
 
+    /// A probe job that reports `tag` on `tx` when it runs.
+    fn tagged(tx: &Sender<u64>, tag: u64) -> DispatchJob {
+        let tx = tx.clone();
+        DispatchJob::test_probe(move || {
+            let _ = tx.send(tag);
+        })
+    }
+
+    fn next_tag(rx: &Receiver<u64>) -> u64 {
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("scheduled job never fired")
+    }
+
     #[test]
     fn dispatcher_runs_jobs_in_due_order() {
-        let mut d = Dispatcher::start(2);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let now = Instant::now();
+        let mut d = Dispatcher::start();
+        let (tx, rx) = unbounded();
         for (tag, off_ms) in [(1u64, 30u64), (2, 5), (3, 15)] {
-            let order = Arc::clone(&order);
-            d.handle().schedule(
-                now + Duration::from_millis(off_ms),
-                DispatchJob::test_probe(move || order.lock().push(tag)),
+            d.handle()
+                .schedule_after(Duration::from_millis(off_ms), tagged(&tx, tag));
+        }
+        let order: Vec<u64> = (0..3).map(|_| next_tag(&rx)).collect();
+        assert_eq!(order, [2, 3, 1]);
+        d.shutdown();
+    }
+
+    #[test]
+    fn zero_delay_job_runs_before_schedule_returns() {
+        let mut d = Dispatcher::start();
+        let ran = Arc::new(Mutex::new(false));
+        {
+            let ran = Arc::clone(&ran);
+            d.handle().schedule_after(
+                Duration::ZERO,
+                DispatchJob::test_probe(move || *ran.lock() = true),
             );
         }
-        std::thread::sleep(Duration::from_millis(120));
-        assert_eq!(&*order.lock(), &[2, 3, 1]);
+        assert!(*ran.lock(), "a zero-delay job runs on the caller's thread");
         d.shutdown();
     }
 
     #[test]
     fn dispatcher_shutdown_discards_unmatured_jobs() {
-        let mut d = Dispatcher::start(1);
-        let ran = Arc::new(Mutex::new(false));
-        {
-            let ran = Arc::clone(&ran);
-            d.handle().schedule_after(
-                Duration::from_secs(60),
-                DispatchJob::test_probe(move || *ran.lock() = true),
-            );
-        }
-        d.shutdown();
-        assert!(!*ran.lock());
-        // Scheduling after shutdown is a silent no-op.
+        let mut d = Dispatcher::start();
+        let (tx, rx) = unbounded();
         d.handle()
-            .schedule_after(Duration::ZERO, DispatchJob::test_probe(|| {}));
+            .schedule_after(Duration::from_secs(60), tagged(&tx, 1));
+        d.shutdown();
+        // After shutdown only delayed jobs are dropped: a zero-delay job
+        // still runs inline, and a delayed one is a silent no-op.
+        d.handle().schedule_after(Duration::ZERO, tagged(&tx, 2));
+        d.handle()
+            .schedule_after(Duration::from_millis(1), tagged(&tx, 3));
+        drop(tx);
+        assert_eq!(rx.iter().collect::<Vec<_>>(), [2]);
     }
 }

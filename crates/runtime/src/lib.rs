@@ -19,9 +19,10 @@
 //!   matching servers **in parallel**.
 //! * [`central::CentralCluster`] — the single-server baseline: one round
 //!   trip, but serial retrieval of every matching record.
-//! * `faults` — a bounded dispatcher pool delivering timed messages for
-//!   the fault-tolerant query plane: per-dispatch timeouts feed
-//!   `roads_core::QueryMachine`, which retries with exponential backoff
+//! * `faults` — message delivery for the fault-tolerant query plane:
+//!   inline at zero delay, by one timer thread otherwise. Per-dispatch
+//!   timeouts feed `roads_core::QueryMachine`, which retries with
+//!   exponential backoff
 //!   and routes around dead branches via the replication overlay
 //!   (§III-C). [`cluster::RoadsCluster`] exposes
 //!   `kill_server`/`restart_server` for live fault injection and reports

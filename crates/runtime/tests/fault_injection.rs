@@ -2,7 +2,7 @@
 //! owner policies, deadlines, and replica-overlay failover (§III-C).
 //!
 //! Every test drives a real [`RoadsCluster`] — OS threads, channels, the
-//! bounded dispatcher — and kills pieces of it mid-flight. The invariant
+//! timer thread — and kills pieces of it mid-flight. The invariant
 //! under test throughout: `query_as` always returns within the query
 //! deadline, and [`RuntimeOutcome::complete`]/`failed_servers` tell the
 //! truth about what the result may be missing.
@@ -50,6 +50,16 @@ fn build_net(n: usize, max_children: usize) -> RoadsNetwork {
 
 fn build_cluster(n: usize, max_children: usize, cfg: RuntimeConfig) -> RoadsCluster {
     RoadsCluster::start(build_net(n, max_children), DelaySpace::paper(n, 77), cfg)
+}
+
+/// `cfg` with zero link delay: every request, reply and `Down` notice is
+/// delivered inline on the sending thread, and only retry backoff goes
+/// through the timer thread.
+fn zero_delay(cfg: RuntimeConfig) -> RuntimeConfig {
+    RuntimeConfig {
+        delay_scale: 0.0,
+        ..cfg
+    }
 }
 
 fn full_query(c: &RoadsCluster) -> Query {
@@ -130,8 +140,17 @@ fn panicking_policy_cannot_hang_the_client() {
 
 #[test]
 fn branch_crash_recovers_subtree_via_failover() {
+    branch_crash_recovers_subtree(RuntimeConfig::test_faulty());
+}
+
+#[test]
+fn branch_crash_recovers_subtree_via_failover_at_zero_delay() {
+    branch_crash_recovers_subtree(zero_delay(RuntimeConfig::test_faulty()));
+}
+
+fn branch_crash_recovers_subtree(cfg: RuntimeConfig) {
     let n = 13;
-    let c = build_cluster(n, 3, RuntimeConfig::test_faulty());
+    let c = build_cluster(n, 3, cfg);
     let tree = c.network().tree();
     let victim = *tree
         .children(tree.root())
@@ -358,8 +377,17 @@ fn replacement_entry_restores_provable_completeness() {
 /// immediately instead of burning `max_retries` backoff cycles on it.
 #[test]
 fn closed_mailbox_skips_retry_budget() {
+    closed_mailbox_fails_over_at_once(RuntimeConfig::test_faulty());
+}
+
+#[test]
+fn closed_mailbox_skips_retry_budget_at_zero_delay() {
+    closed_mailbox_fails_over_at_once(zero_delay(RuntimeConfig::test_faulty()));
+}
+
+fn closed_mailbox_fails_over_at_once(cfg: RuntimeConfig) {
     let n = 9;
-    let c = build_cluster(n, 3, RuntimeConfig::test_faulty());
+    let c = build_cluster(n, 3, cfg);
     let victim = a_leaf(&c);
     let root = c.network().tree().root();
     assert!(c.kill_server(victim));
@@ -522,7 +550,7 @@ fn failed_standin_helper_is_not_renominated() {
 }
 
 /// Per-query attribution under concurrent churn. Four client threads
-/// share one dispatcher pool, one admission gate (capacity 2) and one
+/// share one timer thread, one admission gate (capacity 2) and one
 /// flight recorder across three waves — healthy, after killing a leaf,
 /// after restarting it — while a second, panicking leaf dies for good in
 /// wave one. Every outcome must blame only servers that were actually
@@ -705,6 +733,15 @@ fn restart_server_restores_full_service() {
     c.shutdown();
 }
 
+/// A generous per-dispatch timeout keeps live-server false positives out
+/// of the kill schedules even on loaded CI machines.
+fn kill_schedule_cfg() -> RuntimeConfig {
+    RuntimeConfig {
+        dispatch_timeout_ms: 2_000,
+        ..RuntimeConfig::test_faulty()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -719,59 +756,78 @@ proptest! {
         kills in prop::collection::vec(0usize..64, 0..5),
         (lo, width) in (0.0f64..1.0, 0.0f64..0.5),
     ) {
-        // A generous per-dispatch timeout keeps live-server false
-        // positives out of the schedule even on loaded CI machines.
-        let cfg = RuntimeConfig {
-            dispatch_timeout_ms: 2_000,
-            ..RuntimeConfig::test_faulty()
-        };
-        let c = build_cluster(n, 3, cfg);
-        let killed: BTreeSet<ServerId> =
-            kills.iter().map(|k| ServerId((k % n) as u32)).collect();
-        for &s in &killed {
-            prop_assert!(c.kill_server(s));
-        }
-        let start = ServerId((n - 1) as u32);
-
-        let t0 = Instant::now();
-        let out = c.query(&full_query(&c), start);
-        prop_assert!(
-            t0.elapsed() < Duration::from_millis(cfg.query_deadline_ms + 2_000),
-            "query must terminate near the deadline, took {:?}", t0.elapsed()
-        );
-
-        let ids = unique_ids(&out);
-        for &id in &ids {
-            let holder = ServerId((id as usize / RECORDS_PER_SERVER) as u32);
-            prop_assert!(!killed.contains(&holder), "record from a dead server");
-        }
-        for f in &out.failed_servers {
-            prop_assert!(killed.contains(f), "blamed live server {f:?}");
-        }
-        if killed.is_empty() {
-            prop_assert!(out.complete);
-            prop_assert_eq!(ids.len(), n * RECORDS_PER_SERVER);
-        } else {
-            // Every server holds matching records, so any kill loses some.
-            prop_assert!(!out.complete);
-            prop_assert!(ids.len() <= (n - killed.len()) * RECORDS_PER_SERVER);
-        }
-
-        let partial = QueryBuilder::new(c.network().schema(), QueryId(2))
-            .range("x0", lo, lo + width)
-            .build();
-        let out = c.query(&partial, start);
-        let ids = unique_ids(&out);
-        let exact = exact_answer(c.network(), &partial);
-        prop_assert!(ids.iter().all(|id| exact.contains(id)), "record outside the answer");
-        if out.complete {
-            prop_assert_eq!(&ids, &exact, "complete result must be the exact answer");
-        }
-        for f in &out.failed_servers {
-            prop_assert!(killed.contains(f), "blamed live server {f:?}");
-        }
-        c.shutdown();
+        kill_schedule_case(kill_schedule_cfg(), n, &kills, lo, width)?;
     }
+
+    /// The same oracle with every delivery inline: requests, replies and
+    /// closed-mailbox `Down` notices all skip the timer thread.
+    #[test]
+    fn query_terminates_under_arbitrary_kill_schedules_at_zero_delay(
+        n in 5usize..16,
+        kills in prop::collection::vec(0usize..64, 0..5),
+        (lo, width) in (0.0f64..1.0, 0.0f64..0.5),
+    ) {
+        kill_schedule_case(zero_delay(kill_schedule_cfg()), n, &kills, lo, width)?;
+    }
+}
+
+fn kill_schedule_case(
+    cfg: RuntimeConfig,
+    n: usize,
+    kills: &[usize],
+    lo: f64,
+    width: f64,
+) -> Result<(), TestCaseError> {
+    let c = build_cluster(n, 3, cfg);
+    let killed: BTreeSet<ServerId> = kills.iter().map(|k| ServerId((k % n) as u32)).collect();
+    for &s in &killed {
+        prop_assert!(c.kill_server(s));
+    }
+    let start = ServerId((n - 1) as u32);
+
+    let t0 = Instant::now();
+    let out = c.query(&full_query(&c), start);
+    prop_assert!(
+        t0.elapsed() < Duration::from_millis(cfg.query_deadline_ms + 2_000),
+        "query must terminate near the deadline, took {:?}",
+        t0.elapsed()
+    );
+
+    let ids = unique_ids(&out);
+    for &id in &ids {
+        let holder = ServerId((id as usize / RECORDS_PER_SERVER) as u32);
+        prop_assert!(!killed.contains(&holder), "record from a dead server");
+    }
+    for f in &out.failed_servers {
+        prop_assert!(killed.contains(f), "blamed live server {f:?}");
+    }
+    if killed.is_empty() {
+        prop_assert!(out.complete);
+        prop_assert_eq!(ids.len(), n * RECORDS_PER_SERVER);
+    } else {
+        // Every server holds matching records, so any kill loses some.
+        prop_assert!(!out.complete);
+        prop_assert!(ids.len() <= (n - killed.len()) * RECORDS_PER_SERVER);
+    }
+
+    let partial = QueryBuilder::new(c.network().schema(), QueryId(2))
+        .range("x0", lo, lo + width)
+        .build();
+    let out = c.query(&partial, start);
+    let ids = unique_ids(&out);
+    let exact = exact_answer(c.network(), &partial);
+    prop_assert!(
+        ids.iter().all(|id| exact.contains(id)),
+        "record outside the answer"
+    );
+    if out.complete {
+        prop_assert_eq!(&ids, &exact, "complete result must be the exact answer");
+    }
+    for f in &out.failed_servers {
+        prop_assert!(killed.contains(f), "blamed live server {f:?}");
+    }
+    c.shutdown();
+    Ok(())
 }
 
 /// Brute force over every server's records, dead or alive: the ids of

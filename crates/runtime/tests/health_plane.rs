@@ -284,3 +284,60 @@ fn queue_depth_rises_under_backlog_and_drains() {
         );
     }
 }
+
+/// Regression for the queue-depth race: a request is counted before it
+/// enters the mailbox, so the server's decrement on pickup can never
+/// drive the gauge below zero. At zero delay each client thread delivers
+/// its requests inline, racing the servers directly; every scrape taken
+/// meanwhile must read a non-negative depth for every server.
+#[test]
+fn queue_depth_never_reads_negative_under_concurrent_load() {
+    let n = 13;
+    let reg = Registry::new();
+    let cfg = RuntimeConfig {
+        delay_scale: 0.0,
+        base_query_cost_us: 0,
+        per_record_retrieval_us: 0,
+        max_inflight_queries: 8,
+        ..RuntimeConfig::test_fast()
+    };
+    let c = std::sync::Arc::new(RoadsCluster::start_instrumented(
+        build_net(n),
+        DelaySpace::paper(n, 13),
+        cfg,
+        &reg,
+    ));
+    let q = full_query(&c);
+    let root = c.network().tree().root();
+    let clients: Vec<_> = (0..4)
+        .map(|_| {
+            let c = std::sync::Arc::clone(&c);
+            let q = q.clone();
+            std::thread::spawn(move || {
+                (0..300).all(|_| c.query(&q, root).records.len() == n * RECORDS_PER_SERVER)
+            })
+        })
+        .collect();
+    let depth_names: Vec<String> = (0..n)
+        .map(|s| labeled("runtime.server.queue_depth", &[("server", &s.to_string())]))
+        .collect();
+    let mut scrapes = 0;
+    while scrapes == 0 || !clients.iter().all(|h| h.is_finished()) {
+        let gauges = reg.gauge_values();
+        for (s, name) in depth_names.iter().enumerate() {
+            assert!(
+                gauges[name] >= 0,
+                "server {s} queue depth read {} after {scrapes} scrapes",
+                gauges[name]
+            );
+        }
+        scrapes += 1;
+    }
+    for h in clients {
+        assert!(h.join().unwrap(), "a query under load lost records");
+    }
+    let gauges = reg.gauge_values();
+    for (s, name) in depth_names.iter().enumerate() {
+        assert_eq!(gauges[name], 0, "server {s} mailbox not drained");
+    }
+}
